@@ -68,19 +68,19 @@ struct RunResult {
   /// Read-path rate: ad-hoc Query calls (off-grid quantile + rank/CDF per
   /// call) against the full ingested window, in thousands per second.
   double query_kqps = 0.0;
-  /// Encoded wire size of this configuration's full window state, per
-  /// metric (engine/wire.h): what one agent ships per export. Exports are
-  /// shard-coalesced, so this no longer scales with the shard count.
+  /// Full-frame size per metric (engine/wire.h): the resync /
+  /// first-contact frame one agent ships. Exports are shard-coalesced, so
+  /// this does not scale with the shard count.
   size_t wire_bytes_per_metric = 0;
-  /// Same full window state through the v2 coder (varint/zigzag +
-  /// log-linear value encoding): the resync / first-contact frame size.
-  size_t wire_bytes_per_metric_v2 = 0;
-  /// Steady-state delta-sync frame size per metric: after the initial
-  /// full sync, each round ships only the sub-windows the receiver has
-  /// not seen (one Tick's worth here) plus refreshed scalars.
+  /// Steady-state delta-sync frame size per metric, taken at the SAME
+  /// window state as wire_bytes_per_metric: after the initial full sync,
+  /// each round ships only the sub-windows the receiver has not seen (one
+  /// Tick's worth here) plus refreshed scalars. Non-qlove metrics ride
+  /// whole inside the delta, so for them it is the full frame plus the
+  /// delta header.
   size_t wire_bytes_per_metric_delta = 0;
-  /// Distributed-tier rate: decode + AggregatorEngine::Ingest of a
-  /// 4-agent fleet's frames plus one fleet Query per round, in thousands
+  /// Distributed-tier rate: AggregatorEngine::IngestFrame (decode + ingest)
+  /// of a 4-agent fleet's frames plus one fleet Query per round, in thousands
   /// of agent snapshots merged per second.
   double merge_kqps = 0.0;
   /// Transport-tier rate: the same full window state shipped through the
@@ -426,14 +426,6 @@ RunResult RunOnce(engine::BackendKind kind, int num_shards, int num_threads,
     constexpr int kMergeRounds = 100;
     engine::WireSnapshot exported = engine.ExportSnapshot("agent-0");
     std::vector<uint8_t> encode_buffer;
-    if (!exported.metrics.empty()) {
-      engine::EncodeSnapshot(exported, &encode_buffer);
-      result.wire_bytes_per_metric =
-          encode_buffer.size() / exported.metrics.size();
-      engine::EncodeSnapshotV2(exported, &encode_buffer);
-      result.wire_bytes_per_metric_v2 =
-          encode_buffer.size() / exported.metrics.size();
-    }
     std::vector<std::vector<uint8_t>> frames;
     for (int a = 0; a < kAgents; ++a) {
       exported.source = "agent-" + std::to_string(a);
@@ -445,11 +437,11 @@ RunResult RunOnce(engine::BackendKind kind, int num_shards, int num_threads,
     merge_watch.Start();
     for (int round = 0; round < kMergeRounds; ++round) {
       for (const std::vector<uint8_t>& frame : frames) {
-        const Status ingested = aggregator.IngestEncoded(frame);
+        const auto ingested = aggregator.IngestFrame(frame);
         if (!ingested.ok()) {
           std::fprintf(stderr, "FATAL: fleet ingest(%s) failed: %s\n",
                        engine::BackendKindName(kind),
-                       ingested.ToString().c_str());
+                       ingested.status().ToString().c_str());
           std::exit(1);
         }
       }
@@ -467,11 +459,13 @@ RunResult RunOnce(engine::BackendKind kind, int num_shards, int num_threads,
             ? kMergeRounds * kAgents / merge_elapsed / 1e3
             : 0.0;
 
-    // Steady-state delta-sync size: first export through the cursor is a
-    // full v2 frame, then each round records one batch, ticks, and ships
-    // only the unseen sub-windows. The last round is the steady state —
-    // the window has rolled past its depth, so every round retires as
-    // many sub-windows as it adds.
+    // Steady-state frame sizes: first export through the cursor is a full
+    // frame, then each round records one batch, ticks, and ships only the
+    // unseen sub-windows. The last round is the steady state — the window
+    // has rolled past its depth, so every round retires as many
+    // sub-windows as it adds — and a fresh cursor then encodes the full
+    // frame of that same window state, so the two sizes compare like for
+    // like.
     if (!exported.metrics.empty()) {
       constexpr int kDeltaRounds = 8;
       engine::ExportCursor cursor;
@@ -500,6 +494,17 @@ RunResult RunOnce(engine::BackendKind kind, int num_shards, int num_threads,
         }
         if (ack.ValueOrDie().resync_required) cursor.RequestResync();
       }
+      engine::ExportCursor fresh;
+      std::vector<uint8_t> full_frame;
+      const Status full =
+          engine.ExportDeltaEncoded("agent-0", &fresh, &full_frame);
+      if (!full.ok()) {
+        std::fprintf(stderr, "FATAL: full export(%s) failed: %s\n",
+                     engine::BackendKindName(kind), full.ToString().c_str());
+        std::exit(1);
+      }
+      result.wire_bytes_per_metric =
+          full_frame.size() / exported.metrics.size();
       result.wire_bytes_per_metric_delta =
           delta_frame.size() / exported.metrics.size();
     }
@@ -533,7 +538,7 @@ RunResult RunOnce(engine::BackendKind kind, int num_shards, int num_threads,
           [net_snapshot](const std::string&, bool,
                          std::vector<uint8_t>* out) mutable {
             net_snapshot.epoch += 1;  // each frame advances, so each applies
-            engine::EncodeSnapshotV2(net_snapshot, out);
+            engine::EncodeSnapshot(net_snapshot, out);
             return Status::OK();
           });
       auto require_delivered = [&](const Status& status) {
@@ -693,14 +698,12 @@ void WriteJson(const std::vector<RunResult>& results,
                  "    {\"backend\": \"%s\", \"shards\": %d, \"threads\": %d, "
                  "\"record_mops\": %.3f, \"batch_mops\": %.3f, "
                  "\"query_kqps\": %.3f, \"wire_bytes_per_metric\": %zu, "
-                 "\"wire_bytes_per_metric_v2\": %zu, "
                  "\"wire_bytes_per_metric_delta\": %zu, "
                  "\"merge_kqps\": %.3f, \"net_frames_kqps\": %.3f}%s\n",
                  engine::BackendKindName(r.backend), r.num_shards, r.threads,
                  r.buffered_mops, r.batch_mops, r.query_kqps,
-                 r.wire_bytes_per_metric, r.wire_bytes_per_metric_v2,
-                 r.wire_bytes_per_metric_delta, r.merge_kqps,
-                 r.net_frames_kqps, i + 1 < results.size() ? "," : "");
+                 r.wire_bytes_per_metric, r.wire_bytes_per_metric_delta,
+                 r.merge_kqps, r.net_frames_kqps, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n  \"cardinality\": [\n");
   for (size_t i = 0; i < cardinality.size(); ++i) {
@@ -776,21 +779,20 @@ int Main(int argc, char** argv) {
     for (int threads : thread_counts) {
       std::printf("\nbackend: %s, writer threads: %d\n",
                   engine::BackendKindName(kind), threads);
-      std::printf("%-8s %18s %18s %10s %14s %12s %10s %12s %14s %12s\n",
+      std::printf("%-8s %18s %18s %10s %14s %12s %12s %14s %12s\n",
                   "shards", "Record (M op/s)", "Batch (M op/s)", "speedup",
-                  "Query (K q/s)", "Wire (B/met)", "v2 (B)", "delta (B)",
+                  "Query (K q/s)", "Wire (B/met)", "delta (B)",
                   "Merge (K s/s)", "Net (K f/s)");
       double baseline = 0.0;
       for (int shards : kShardSweep) {
         const RunResult r = RunOnce(kind, shards, threads, data);
         if (shards == kShardSweep.front()) baseline = r.batch_mops;
         std::printf(
-            "%-8d %18.2f %18.2f %9.2fx %14.1f %12zu %10zu %12zu %14.1f "
-            "%12.1f\n",
+            "%-8d %18.2f %18.2f %9.2fx %14.1f %12zu %12zu %14.1f %12.1f\n",
             shards, r.buffered_mops, r.batch_mops,
             baseline > 0.0 ? r.batch_mops / baseline : 0.0, r.query_kqps,
-            r.wire_bytes_per_metric, r.wire_bytes_per_metric_v2,
-            r.wire_bytes_per_metric_delta, r.merge_kqps, r.net_frames_kqps);
+            r.wire_bytes_per_metric, r.wire_bytes_per_metric_delta,
+            r.merge_kqps, r.net_frames_kqps);
         results.push_back(r);
       }
     }

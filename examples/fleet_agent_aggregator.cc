@@ -12,7 +12,7 @@
 //                                                   -> Query(p99, CDF)
 //
 // The delta-sync loop runs exactly as in production: first contact ships
-// a full v2 frame, steady state ships only unseen sub-windows, and the
+// a full frame, steady state ships only unseen sub-windows, and the
 // server's ACK carries the ingest verdict per frame. Two faults exercise
 // the recovery machinery, and the run self-verifies both:
 //  - at t=10, agent 0's frame is dropped after its cursor advanced (a
@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
     auto held = aggregator.SourceSnapshot("host-" + std::to_string(a));
     if (held.ok()) {
       full_state_bytes +=
-          qlove::engine::EncodeSnapshotV2(held.ValueOrDie()).size();
+          qlove::engine::EncodeSnapshot(held.ValueOrDie()).size();
     }
   }
   const double avg_delta_bytes =

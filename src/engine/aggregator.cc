@@ -7,7 +7,6 @@
 #include <set>
 #include <utility>
 
-#include "common/timer.h"
 #include "engine/interner.h"
 
 namespace qlove {
@@ -63,42 +62,27 @@ AggregatorEngine::AggregatorEngine(AggregatorOptions options)
 #endif
 }
 
-void AggregatorEngine::RecordSelfStage(Stage stage, double micros) const {
-#if QLOVE_INTROSPECTION_ENABLED
-  if (self_ != nullptr && self_->introspection_ != nullptr) {
-    self_->introspection_->RecordStage(stage, micros);
-  }
-#else
-  (void)stage;
-  (void)micros;
-#endif
+Introspection* AggregatorEngine::self_introspection() const {
+  return self_ != nullptr ? self_->introspection_.get() : nullptr;
+}
+
+void AggregatorEngine::CountAccepted() {
+  const int64_t accepted =
+      ingests_.fetch_add(1, std::memory_order_relaxed) + 1;
+  // Publish buffered decode/ingest samples into the sketches every few
+  // accepted frames, so FleetHealth's p50/p99 stay current without a
+  // separate driver thread.
+  if (self_ != nullptr && accepted % 8 == 0) self_->Tick();
 }
 
 Status AggregatorEngine::Ingest(WireSnapshot snapshot) {
-#if QLOVE_INTROSPECTION_ENABLED
-  if (self_ != nullptr) {
-    Stopwatch watch;
-    watch.Start();
-    const Status status = IngestImpl(std::move(snapshot));
-    RecordSelfStage(Stage::kAggregatorIngest, watch.ElapsedNanos() * 1e-3);
-    if (status.ok()) {
-      const int64_t accepted =
-          ingests_.fetch_add(1, std::memory_order_relaxed) + 1;
-      // Publish buffered decode/ingest samples into the sketches every few
-      // accepted frames, so FleetHealth's p50/p99 stay current without a
-      // separate driver thread.
-      if (accepted % 8 == 0) self_->Tick();
-    } else if (status.code() == Status::Code::kFailedPrecondition) {
-      rejected_reordered_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return status;
+  Status status;
+  {
+    ScopedStageTimer timer(self_introspection(), Stage::kAggregatorIngest);
+    status = IngestImpl(std::move(snapshot));
   }
-#endif
-  const Status status = IngestImpl(std::move(snapshot));
   if (status.ok()) {
-    ingests_.fetch_add(1, std::memory_order_relaxed);
+    CountAccepted();
   } else if (status.code() == Status::Code::kFailedPrecondition) {
     rejected_reordered_.fetch_add(1, std::memory_order_relaxed);
   } else {
@@ -190,34 +174,6 @@ Status AggregatorEngine::IngestImpl(WireSnapshot snapshot) {
   return Status::OK();
 }
 
-Status AggregatorEngine::IngestEncoded(const uint8_t* data, size_t size) {
-  wire_bytes_ingested_.fetch_add(static_cast<int64_t>(size),
-                                 std::memory_order_relaxed);
-#if QLOVE_INTROSPECTION_ENABLED
-  if (self_ != nullptr) {
-    Stopwatch watch;
-    watch.Start();
-    auto decoded = DecodeSnapshot(data, size);
-    RecordSelfStage(Stage::kWireDecode, watch.ElapsedNanos() * 1e-3);
-    if (!decoded.ok()) {
-      decode_failures_.fetch_add(1, std::memory_order_relaxed);
-      return decoded.status();
-    }
-    return Ingest(decoded.TakeValue());
-  }
-#endif
-  auto decoded = DecodeSnapshot(data, size);
-  if (!decoded.ok()) {
-    decode_failures_.fetch_add(1, std::memory_order_relaxed);
-    return decoded.status();
-  }
-  return Ingest(decoded.TakeValue());
-}
-
-Status AggregatorEngine::IngestEncoded(const std::vector<uint8_t>& buffer) {
-  return IngestEncoded(buffer.data(), buffer.size());
-}
-
 Result<AggregatorEngine::IngestAck> AggregatorEngine::IngestFrame(
     const uint8_t* data, size_t size) {
   // Checkpoint BEFORE applying: when rotation is due, the new segment
@@ -235,16 +191,8 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::IngestFrameImpl(
     const uint8_t* data, size_t size) {
   wire_bytes_ingested_.fetch_add(static_cast<int64_t>(size),
                                  std::memory_order_relaxed);
-  auto decoded = [&]() -> Result<WireFrame> {
-#if QLOVE_INTROSPECTION_ENABLED
-    if (self_ != nullptr) {
-      Stopwatch watch;
-      watch.Start();
-      auto result = DecodeFrame(data, size);
-      RecordSelfStage(Stage::kWireDecode, watch.ElapsedNanos() * 1e-3);
-      return result;
-    }
-#endif
+  auto decoded = [&]() {
+    ScopedStageTimer timer(self_introspection(), Stage::kWireDecode);
     return DecodeFrame(data, size);
   }();
   if (!decoded.ok()) {
@@ -265,17 +213,8 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::IngestFrameImpl(
   // stage, accepted frames counted, rejections classified. NAKs are a
   // protocol outcome (the agent resolves them by resyncing), so they are
   // neither an accepted ingest nor an invalid rejection.
-  auto applied = [&]() -> Result<IngestAck> {
-#if QLOVE_INTROSPECTION_ENABLED
-    if (self_ != nullptr) {
-      Stopwatch watch;
-      watch.Start();
-      auto result = ApplyDelta(std::move(frame.delta));
-      RecordSelfStage(Stage::kAggregatorIngest,
-                      watch.ElapsedNanos() * 1e-3);
-      return result;
-    }
-#endif
+  auto applied = [&]() {
+    ScopedStageTimer timer(self_introspection(), Stage::kAggregatorIngest);
     return ApplyDelta(std::move(frame.delta));
   }();
   if (!applied.ok()) {
@@ -289,14 +228,8 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::IngestFrameImpl(
   }
   wire_bytes_delta_ingested_.fetch_add(static_cast<int64_t>(size),
                                        std::memory_order_relaxed);
-  const int64_t accepted =
-      ingests_.fetch_add(1, std::memory_order_relaxed) + 1;
   delta_ingests_.fetch_add(1, std::memory_order_relaxed);
-#if QLOVE_INTROSPECTION_ENABLED
-  if (self_ != nullptr && accepted % 8 == 0) self_->Tick();
-#else
-  (void)accepted;
-#endif
+  CountAccepted();
   return ack;
 }
 
@@ -393,7 +326,7 @@ void AggregatorEngine::MaybeCheckpointWal() {
   Status status = wal_->BeginSegment();
   for (const WireSnapshot& snapshot : held) {
     if (!status.ok()) break;
-    EncodeSnapshotV2(snapshot, &wal_scratch_);
+    EncodeSnapshot(snapshot, &wal_scratch_);
     status = wal_->Append(wal_scratch_.data(), wal_scratch_.size(),
                           /*is_checkpoint=*/true);
   }
@@ -473,9 +406,9 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
   }
   if (held.snapshot.sync_token != delta.sync_token) {
     // Same epoch number, different engine incarnation: the agent
-    // restarted and its Tick epochs collided with the state we hold
-    // (or the held state came from a v1 frame, token 0). Patching across
-    // incarnations would silently mix two different windows.
+    // restarted and its Tick epochs collided with the state we hold (or
+    // the held state came from a hand-built snapshot, token 0). Patching
+    // across incarnations would silently mix two different windows.
     return nak;
   }
 
@@ -508,8 +441,8 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
     if (held_it->shards.size() != 1 ||
         held_it->shards[0].kind != BackendKind::kQlove ||
         held_it->options.backend.kind != BackendKind::kQlove) {
-      // Held state is not the coalesced qlove shape deltas patch (e.g. it
-      // came from an older v1 exporter before a config change).
+      // Held state is not the coalesced qlove shape deltas patch (e.g. an
+      // uncoalesced full frame, or a config change on the agent).
       return nak;
     }
     WireMetricSummary merged = *held_it;
@@ -601,7 +534,7 @@ Status AggregatorEngine::ExportEncoded(
   if (out == nullptr) {
     return Status::InvalidArgument("ExportEncoded: out buffer is null");
   }
-  EncodeSnapshotV2(ExportSnapshot(std::move(source), export_options), out);
+  EncodeSnapshot(ExportSnapshot(std::move(source), export_options), out);
   wire_bytes_reexported_.fetch_add(static_cast<int64_t>(out->size()),
                                    std::memory_order_relaxed);
   return Status::OK();

@@ -99,10 +99,6 @@ class AggregatorEngine {
   /// the source's state normally.
   Status Ingest(WireSnapshot snapshot);
 
-  /// DecodeSnapshot + Ingest in one step (the receive-loop shape).
-  Status IngestEncoded(const uint8_t* data, size_t size);
-  Status IngestEncoded(const std::vector<uint8_t>& buffer);
-
   /// \brief The receiver's verdict on one frame, for the sender's
   /// delta-sync loop (engine.h ExportCursor).
   struct IngestAck {
@@ -120,14 +116,14 @@ class AggregatorEngine {
     int64_t acked_epoch = -1;
   };
 
-  /// Decodes and applies any frame (v1 full, v2 full, v2 delta) and
-  /// reports the sync verdict. Full frames take the Ingest path: accepted
-  /// frames ack applied, and frame errors (corrupt bytes, invalid
-  /// options, reordered epochs) stay error Statuses exactly as in
-  /// IngestEncoded. Delta frames apply atomically against the source's
-  /// held snapshot — on any disagreement the held state is untouched and
-  /// the ack says resync_required (an OK Result: NAKs are protocol flow,
-  /// not failures).
+  /// Decodes and applies one encoded frame (full or delta) and reports
+  /// the sync verdict — the one encoded ingest path. Full frames take the
+  /// Ingest path: accepted frames ack applied, and frame errors (corrupt
+  /// bytes, invalid options, reordered epochs) are error Statuses exactly
+  /// as Ingest returns them. Delta frames apply atomically against the
+  /// source's held snapshot — on any disagreement the held state is
+  /// untouched and the ack says resync_required (an OK Result: NAKs are
+  /// protocol flow, not failures).
   Result<IngestAck> IngestFrame(const uint8_t* data, size_t size);
   Result<IngestAck> IngestFrame(const std::vector<uint8_t>& buffer);
 
@@ -168,7 +164,7 @@ class AggregatorEngine {
   WireSnapshot ExportSnapshot(std::string source,
                               const ExportOptions& export_options = {}) const;
 
-  /// ExportSnapshot + EncodeSnapshotV2 into \p out (buffer reused), with
+  /// ExportSnapshot + EncodeSnapshot into \p out (buffer reused), with
   /// re-export bytes counted into FleetHealth.
   Status ExportEncoded(std::string source, std::vector<uint8_t>* out,
                        const ExportOptions& export_options = {}) const;
@@ -308,8 +304,9 @@ class AggregatorEngine {
     int64_t ingests = 0;             ///< Snapshots accepted.
     int64_t rejected_reordered = 0;  ///< FailedPrecondition (stale frame).
     int64_t rejected_invalid = 0;    ///< InvalidArgument (bad wire data).
-    int64_t decode_failures = 0;     ///< IngestEncoded decode errors.
-    int64_t wire_bytes_ingested = 0; ///< Encoded bytes seen by IngestEncoded.
+    int64_t decode_failures = 0;     ///< IngestFrame decode errors.
+    int64_t wire_bytes_ingested = 0; ///< Encoded bytes seen by IngestFrame
+                                     ///< (full and delta, applied or not).
     int64_t queries = 0;             ///< Query() calls.
     int64_t delta_ingests = 0;       ///< Delta frames applied.
     int64_t resyncs_requested = 0;   ///< Delta NAKs (resync_required acks).
@@ -407,9 +404,12 @@ class AggregatorEngine {
   /// reserved for malformed frame CONTENT (negative counts, grid-size
   /// mismatches) that no resync would fix differently.
   Result<IngestAck> ApplyDelta(WireDelta delta);
-  /// Records one latency sample into the self-metrics engine (no-op when
-  /// introspection is off).
-  void RecordSelfStage(Stage stage, double micros) const;
+  /// The self-metrics engine's counter/timer hub, or null when
+  /// introspection is off (stage timers on null are free).
+  Introspection* self_introspection() const;
+  /// Counts one accepted frame (full or delta) and periodically ticks the
+  /// self-metrics engine.
+  void CountAccepted();
 
   AggregatorOptions options_;
   /// Incarnation token stamped on re-exports (wire.h GenerateSyncToken):

@@ -343,7 +343,6 @@ void TelemetryEngine::FlushToShards(MetricState* state, const double* values,
   // (pre_quantizer() == nullptr) skip the pass and the copy.
   const Quantizer* pre = state->pre_quantizer();
   const double* publish = values;
-#if QLOVE_INTROSPECTION_ENABLED
   // Flush-granularity self-metrics: internal `__qlove/` states carry a
   // null sink (their publication must not count as user traffic or
   // recurse), so the state itself decides whether this flush is observed.
@@ -352,24 +351,12 @@ void TelemetryEngine::FlushToShards(MetricState* state, const double* values,
   if (pre != nullptr) {
     thread_local std::vector<double> quantized;
     quantized.resize(count);
-    if (in != nullptr) {
-      Stopwatch watch;
-      watch.Start();
-      pre->QuantizeBatch(values, quantized.data(), count);
-      in->RecordStage(Stage::kQuantizeBatch, watch.ElapsedNanos() * 1e-3);
-    } else {
+    {
+      ScopedStageTimer timer(in, Stage::kQuantizeBatch);
       pre->QuantizeBatch(values, quantized.data(), count);
     }
     publish = quantized.data();
   }
-#else
-  if (pre != nullptr) {
-    thread_local std::vector<double> quantized;
-    quantized.resize(count);
-    pre->QuantizeBatch(values, quantized.data(), count);
-    publish = quantized.data();
-  }
-#endif
   // Deal the batch round-robin starting at the metric's rotating cursor:
   // value i -> shard (cursor + i) % S. Every shard receives an interleaved
   // 1/S stripe (an i.i.d.-like sample of the batch), which is what makes
@@ -413,41 +400,26 @@ void TelemetryEngine::Flush() {
 }
 
 void TelemetryEngine::Tick() {
-#if QLOVE_INTROSPECTION_ENABLED
-  if (introspection_ != nullptr) {
-    Stopwatch watch;
-    watch.Start();
-    Flush();
-    // Publish buffered stage samples BEFORE closing sub-windows, so the
-    // samples recorded since the last Tick land in the sub-window this
-    // Tick closes (queryable immediately after).
-    PublishStageSamples();
-    std::vector<std::shared_ptr<MetricState>> states = registry_.List();
-    for (const auto& state : states) {
-      state->CloseSubWindows();
-    }
-    for (const auto& state : internal_registry_.List()) {
-      state->CloseSubWindows();
-    }
-    MaintainAfterTick(states);
-    tick_epochs_.fetch_add(1, std::memory_order_relaxed);
-    AppendWalRecord();
-    introspection_->OnTick();
-    // This Tick's own latency is buffered now and published by the NEXT
-    // Tick (a one-boundary lag; the alternative would re-open the window
-    // just closed).
-    introspection_->RecordStage(Stage::kTick, watch.ElapsedNanos() * 1e-3);
-    return;
-  }
-#endif
+  // This Tick's own latency is buffered when the timer closes and
+  // published by the NEXT Tick (a one-boundary lag; the alternative would
+  // re-open the window just closed).
+  ScopedStageTimer timer(introspection_.get(), Stage::kTick);
   Flush();
+  // Publish buffered stage samples BEFORE closing sub-windows, so the
+  // samples recorded since the last Tick land in the sub-window this Tick
+  // closes (queryable immediately after).
+  PublishStageSamples();
   std::vector<std::shared_ptr<MetricState>> states = registry_.List();
   for (const auto& state : states) {
+    state->CloseSubWindows();
+  }
+  for (const auto& state : internal_registry_.List()) {
     state->CloseSubWindows();
   }
   MaintainAfterTick(states);
   tick_epochs_.fetch_add(1, std::memory_order_relaxed);
   AppendWalRecord();
+  if (introspection_ != nullptr) introspection_->OnTick();
 }
 
 Status TelemetryEngine::EnableWal(const std::string& dir,
@@ -699,6 +671,7 @@ void TelemetryEngine::MaintainAfterTick(
 
 void TelemetryEngine::PublishStageSamples() {
 #if QLOVE_INTROSPECTION_ENABLED
+  if (introspection_ == nullptr) return;
   std::lock_guard<std::mutex> lock(publish_mu_);
   for (int s = 0; s < kStageCount; ++s) {
     const Stage stage = static_cast<Stage>(s);
@@ -763,30 +736,6 @@ WireSnapshot TelemetryEngine::ExportSnapshot(
   return snapshot;
 }
 
-Status TelemetryEngine::ExportEncoded(
-    std::string source, std::vector<uint8_t>* out,
-    const ExportOptions& export_options) const {
-  QLOVE_RETURN_NOT_OK(options_status_);
-  if (out == nullptr) {
-    return Status::InvalidArgument("null output buffer");
-  }
-#if QLOVE_INTROSPECTION_ENABLED
-  if (introspection_ != nullptr) {
-    Stopwatch watch;
-    watch.Start();
-    const WireSnapshot snapshot =
-        ExportSnapshot(std::move(source), export_options);
-    EncodeSnapshot(snapshot, out);
-    introspection_->RecordStage(Stage::kWireEncode,
-                                watch.ElapsedNanos() * 1e-3);
-    introspection_->OnWireBytes(static_cast<int64_t>(out->size()));
-    return Status::OK();
-  }
-#endif
-  EncodeSnapshot(ExportSnapshot(std::move(source), export_options), out);
-  return Status::OK();
-}
-
 Status TelemetryEngine::ExportDeltaEncoded(
     std::string source, ExportCursor* cursor, std::vector<uint8_t>* out,
     const ExportOptions& export_options) const {
@@ -800,10 +749,7 @@ Status TelemetryEngine::ExportDeltaEncoded(
   ExportOptions coalesced = export_options;
   coalesced.coalesce_shards = true;  // deltas address one summary per metric
 
-#if QLOVE_INTROSPECTION_ENABLED
-  Stopwatch watch;
-  if (introspection_ != nullptr) watch.Start();
-#endif
+  ScopedStageTimer timer(introspection_.get(), Stage::kWireEncode);
   const WireSnapshot snapshot = ExportSnapshot(std::move(source), coalesced);
   // A tracked metric absent from this snapshot vanished (evicted or
   // otherwise retired). A delta frame can only describe metrics it
@@ -832,7 +778,7 @@ Status TelemetryEngine::ExportDeltaEncoded(
   bool encoded_delta = false;
   if (cursor->force_full_ || cursor->last_epoch_ < 0 ||
       tracked_metric_vanished) {
-    EncodeSnapshotV2(snapshot, out);
+    EncodeSnapshot(snapshot, out);
   } else {
     WireDelta delta;
     delta.source = snapshot.source;
@@ -905,17 +851,12 @@ Status TelemetryEngine::ExportDeltaEncoded(
     }
   }
   cursor->sent_.erase(tracked, cursor->sent_.end());
-#if QLOVE_INTROSPECTION_ENABLED
   if (introspection_ != nullptr) {
-    introspection_->RecordStage(Stage::kWireEncode,
-                                watch.ElapsedNanos() * 1e-3);
     introspection_->OnWireBytes(static_cast<int64_t>(out->size()));
     if (encoded_delta) {
       introspection_->OnDeltaExport(static_cast<int64_t>(out->size()));
     }
   }
-#endif
-  (void)encoded_delta;
   return Status::OK();
 }
 
@@ -949,30 +890,28 @@ bool TargetsReservedNamespace(const QuerySpec& spec) {
 }  // namespace
 
 Result<QueryResult> TelemetryEngine::Query(const QuerySpec& spec) const {
-#if QLOVE_INTROSPECTION_ENABLED
-  if (introspection_ != nullptr && !TargetsReservedNamespace(spec)) {
-    Stopwatch watch;
-    watch.Start();
-    auto result = QueryImpl(spec);
-    const double micros = watch.ElapsedNanos() * 1e-3;
-    introspection_->OnQuery();
-    introspection_->RecordStage(Stage::kQuery, micros);
-    if (options_.slow_query_threshold_us > 0.0 &&
-        micros >= options_.slow_query_threshold_us) {
-      SlowQueryRecord record;
-      record.spec = DescribeQuerySpec(spec);
-      record.micros = micros;
-      record.ok = result.ok();
-      record.matched =
-          result.ok()
-              ? static_cast<int64_t>(result.ValueOrDie().matched.size())
-              : 0;
-      introspection_->RecordSlowQuery(std::move(record));
-    }
+  // One stopwatch rather than a scoped timer: the slow-query log needs the
+  // elapsed time too.
+  Stopwatch watch;
+  auto result = QueryImpl(spec);
+  if (introspection_ == nullptr || TargetsReservedNamespace(spec)) {
     return result;
   }
-#endif
-  return QueryImpl(spec);
+  const double micros = watch.ElapsedNanos() * 1e-3;
+  introspection_->OnQuery();
+  introspection_->RecordStage(Stage::kQuery, micros);
+  if (options_.slow_query_threshold_us > 0.0 &&
+      micros >= options_.slow_query_threshold_us) {
+    SlowQueryRecord record;
+    record.spec = DescribeQuerySpec(spec);
+    record.micros = micros;
+    record.ok = result.ok();
+    record.matched =
+        result.ok() ? static_cast<int64_t>(result.ValueOrDie().matched.size())
+                    : 0;
+    introspection_->RecordSlowQuery(std::move(record));
+  }
+  return result;
 }
 
 Result<QueryResult> TelemetryEngine::QueryImpl(const QuerySpec& spec) const {

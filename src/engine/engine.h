@@ -141,7 +141,7 @@ struct EngineOptions {
   Status Validate() const;
 };
 
-/// \brief Knobs for ExportSnapshot / ExportEncoded / ExportDeltaEncoded.
+/// \brief Knobs for ExportSnapshot / ExportDeltaEncoded.
 struct ExportOptions {
   /// Include the engine's own `__qlove/` self-metrics in the export so
   /// they roll up across the fleet like any other metric. Default OFF:
@@ -168,7 +168,7 @@ struct ExportOptions {
 /// from one exporting thread at a time. The protocol is optimistic: the
 /// cursor advances as frames are produced, and when the receiver disagrees
 /// (it NAKed, it restarted, frames were dropped in transit) the caller
-/// invokes RequestResync() and the next export is a full v2 frame.
+/// invokes RequestResync() and the next export is a full frame.
 class ExportCursor {
  public:
   /// Force the next export to be a full frame (initial state). Call on
@@ -295,24 +295,18 @@ class TelemetryEngine {
   WireSnapshot ExportSnapshot(std::string source,
                               const ExportOptions& export_options = {}) const;
 
-  /// ExportSnapshot + EncodeSnapshot in one timed call: the encoded bytes
-  /// land in \p out (buffer reused), the wire-encode latency lands in
-  /// `__qlove/stage_us{stage=wire_encode}`, and the byte count feeds the
-  /// wire_bytes_encoded counter.
-  Status ExportEncoded(std::string source, std::vector<uint8_t>* out,
-                       const ExportOptions& export_options = {}) const;
-
-  /// The delta-sync agent loop: encodes into \p out either a full v2
+  /// The one encoded export path: encodes into \p out either a full
   /// frame (first export through \p cursor, or after RequestResync) or a
-  /// v2 DELTA frame carrying, per qlove metric, only the sub-windows newer
+  /// DELTA frame carrying, per qlove metric, only the sub-windows newer
   /// than what \p cursor says the receiver holds (plus refreshed scalars);
   /// non-qlove metrics and metrics with unshippable diffs ride as full
   /// replacements inside the delta. Exports are always shard-coalesced on
   /// this path (deltas address one summary per metric). The cursor
   /// advances optimistically; pair with AggregatorEngine::IngestFrame and
   /// call cursor->RequestResync() whenever the returned IngestAck demands
-  /// it or the transport hiccups. Timing/bytes land in the wire_encode
-  /// stage and the delta export counters.
+  /// it or the transport hiccups. A fresh cursor per call yields a plain
+  /// full frame. Timing lands in `__qlove/stage_us{stage=wire_encode}`,
+  /// bytes in the wire_bytes_encoded and delta export counters.
   Status ExportDeltaEncoded(std::string source, ExportCursor* cursor,
                             std::vector<uint8_t>* out,
                             const ExportOptions& export_options = {}) const;

@@ -24,10 +24,11 @@
 //    SnapshotAll, metric_count, wildcard selectors, default exports — are
 //    untouched by the self-metrics' existence).
 //
-// Compile-time escape hatch: configure with -DQLOVE_INTROSPECTION=OFF and
-// every hook compiles to a no-op (QLOVE_INTROSPECTION_ENABLED == 0); the
-// types below still exist so Stats()/FleetHealth() callers compile, they
-// just report enabled == false.
+// Compile-time escape hatch: configure with -DQLOVE_INTROSPECTION=OFF
+// (QLOVE_INTROSPECTION_ENABLED == 0) and no engine builds an Introspection,
+// so every hook sits behind a null pointer and ScopedStageTimer compiles to
+// nothing; the types below still exist so Stats()/FleetHealth() callers
+// compile, they just report enabled == false.
 
 #ifndef QLOVE_ENGINE_INTROSPECTION_H_
 #define QLOVE_ENGINE_INTROSPECTION_H_
@@ -73,8 +74,8 @@ enum class Stage {
   kQuantizeBatch = 1,    ///< Batch quantization of one flushed buffer.
   kTick = 2,             ///< CloseSubWindows across every metric.
   kQuery = 3,            ///< One whole TelemetryEngine::Query call.
-  kWireEncode = 4,       ///< ExportSnapshot + EncodeSnapshot.
-  kWireDecode = 5,       ///< DecodeSnapshot on the aggregator.
+  kWireEncode = 4,       ///< ExportDeltaEncoded (export + encode).
+  kWireDecode = 5,       ///< DecodeFrame on the aggregator.
   kAggregatorIngest = 6, ///< AggregatorEngine::Ingest (validated swap).
 };
 inline constexpr int kStageCount = 7;
@@ -106,7 +107,7 @@ struct CountersSnapshot {
   int64_t queries = 0;           ///< Query() calls (user metrics only).
   int64_t slow_queries = 0;      ///< Queries over the slow threshold.
   int64_t exports = 0;           ///< ExportSnapshot calls.
-  int64_t wire_bytes_encoded = 0;      ///< Bytes produced by ExportEncoded /
+  int64_t wire_bytes_encoded = 0;      ///< Bytes produced by
                                        ///< ExportDeltaEncoded (all frames).
   int64_t delta_exports = 0;           ///< Delta frames produced by
                                        ///< ExportDeltaEncoded (full-frame
@@ -325,6 +326,10 @@ class ScopedStageTimer {
     }
 #endif
   }
+  /// Drops this sample: the region turned out not to be worth recording
+  /// (e.g. a ring drain that moved nothing).
+  void Discard() { introspection_ = nullptr; }
+
   ScopedStageTimer(const ScopedStageTimer&) = delete;
   ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
 

@@ -545,7 +545,9 @@ QueryOutcome WindowView::QloveQuantile(double phi) const {
     outcome.value = grid_values_[j];
     outcome.source = grid_sources_[j];
     outcome.rank_error_bound = 0.0;  // grid term; see QueryOutcome docs
-    outcome.value_error_bound = QloveValueErrorBound(phi);
+    if (outcome.source == core::OutcomeSource::kLevel2) {
+      outcome.value_error_bound = QloveValueErrorBound(phi);
+    }
     return outcome;
   }
 
@@ -611,7 +613,11 @@ QueryOutcome WindowView::QloveQuantile(double phi) const {
   }
 
   outcome.rank_error_bound = slack;
-  outcome.value_error_bound = QloveValueErrorBound(phi);
+  // Theorem 1 bounds the Level-2 sub-window mean only; a top-k or
+  // sample-k answer keeps the documented infinity.
+  if (outcome.source == core::OutcomeSource::kLevel2) {
+    outcome.value_error_bound = QloveValueErrorBound(phi);
+  }
   return outcome;
 }
 

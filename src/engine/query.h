@@ -176,10 +176,11 @@ struct QueryOutcome {
 
   /// Theorem-1 value-error half-width (core/error_bound) at alpha = 0.05,
   /// with the density at the estimate taken from finite differences of
-  /// the merged quantile grid (kQuantile on the homogeneous-qlove path
-  /// only; infinity when uninformative — degenerate grid, too few
-  /// summaries, or entry-backed serving, whose rank bound above is already
-  /// deterministic).
+  /// the merged quantile grid (kQuantile answers from the Level-2
+  /// sub-window mean on the homogeneous-qlove path only; infinity when
+  /// uninformative — degenerate grid, too few summaries, a top-k or
+  /// sample-k answer, which Theorem 1 does not cover, or entry-backed
+  /// serving, whose rank bound above is already deterministic).
   double value_error_bound = std::numeric_limits<double>::infinity();
 };
 

@@ -4,7 +4,6 @@
 #include <thread>
 #include <utility>
 
-#include "common/timer.h"
 #include "engine/introspection.h"
 
 namespace qlove {
@@ -80,43 +79,34 @@ Status Shard::Initialize(const BackendOptions& backend, const WindowSpec& spec,
 }
 
 int64_t Shard::DrainLocked() const {
-#if QLOVE_INTROSPECTION_ENABLED
   // Drain telemetry at batch granularity: one timer read pair and one
   // counter update per drain that moved data, never per value. Empty
   // drains (idle Tick/Snapshot polls) stay out of the latency sketch.
-  if (introspection_ != nullptr) {
-    const int64_t pending_before = ring_.pending();
-    int64_t accepted = 0;
-    Stopwatch watch;
-    watch.Start();
-    const int64_t drained =
-        ring_.Drain([this, &accepted](const double* run, size_t n) {
-          const int64_t took = backend_->AddDense(run, n);
-          accepted += took;
-          total_added_.fetch_add(took, std::memory_order_relaxed);
-          backend_inflight_.store(backend_->InflightCount(),
-                                  std::memory_order_relaxed);
-        });
-    if (drained > 0) {
-      introspection_->OnDrain(drained, accepted, pending_before);
-      introspection_->RecordStage(Stage::kIngestDrain,
-                                  watch.ElapsedNanos() * 1e-3);
-    }
-    return drained;
+  const int64_t pending_before =
+      introspection_ != nullptr ? ring_.pending() : 0;
+  int64_t accepted = 0;
+  ScopedStageTimer timer(introspection_, Stage::kIngestDrain);
+  const int64_t drained =
+      ring_.Drain([this, &accepted](const double* run, size_t n) {
+        // The backend reports what it accepts (it drops corrupt
+        // telemetry): TotalAdded must reconcile with snapshot
+        // window/inflight counts.
+        const int64_t took = backend_->AddDense(run, n);
+        accepted += took;
+        total_added_.fetch_add(took, std::memory_order_relaxed);
+        // Refresh the backend-side inflight from inside the sink — Drain
+        // only decrements the ring's pending count after the last run, so
+        // a concurrent InflightCount() poll transiently double-counts
+        // drained values instead of seeing them vanish from both counters.
+        backend_inflight_.store(backend_->InflightCount(),
+                                std::memory_order_relaxed);
+      });
+  if (drained == 0) {
+    timer.Discard();
+  } else if (introspection_ != nullptr) {
+    introspection_->OnDrain(drained, accepted, pending_before);
   }
-#endif
-  return ring_.Drain([this](const double* run, size_t n) {
-    // The backend reports what it accepts (it drops corrupt telemetry):
-    // TotalAdded must reconcile with snapshot window/inflight counts.
-    total_added_.fetch_add(backend_->AddDense(run, n),
-                           std::memory_order_relaxed);
-    // Refresh the backend-side inflight from inside the sink — Drain only
-    // decrements the ring's pending count after the last run, so a
-    // concurrent InflightCount() poll transiently double-counts drained
-    // values instead of seeing them vanish from both counters.
-    backend_inflight_.store(backend_->InflightCount(),
-                            std::memory_order_relaxed);
-  });
+  return drained;
 }
 
 void Shard::PublishPreQuantizedStrided(const double* values, size_t count,

@@ -1,6 +1,6 @@
 // Copyright 2026 The QLOVE Reproduction Authors
 // The durability seam: a segment-based write-ahead log whose records are
-// exactly the v2 wire frames the delta-sync export loop already produces
+// exactly the wire frames the delta-sync export loop already produces
 // (engine/wire.h) — a checkpoint is a full frame, an incremental record is
 // a delta frame, and replay is the same IngestFrame machinery the
 // aggregator runs, so the on-disk format cannot drift from the on-wire
@@ -18,7 +18,7 @@
 // replaces state wholesale, the deltas after it apply incrementally.
 //
 // Record framing:  [u32 payload_len][u32 crc32c(payload)][payload bytes]
-// little-endian, payload = one v2 wire frame, len capped at kMaxWireBytes.
+// little-endian, payload = one wire frame, len capped at kMaxWireBytes.
 // The CRC is Castagnoli (CRC32C), software table — no new dependencies.
 //
 // Torn tails and corruption are a READ-side concern by construction (the
@@ -206,7 +206,7 @@ struct WalReplayStats {
 };
 
 /// \brief Replays every retained segment in sequence order, calling
-/// \p sink once per CRC-clean record (payload = one v2 wire frame).
+/// \p sink once per CRC-clean record (payload = one wire frame).
 /// Best-effort record by record: a sink error rejects that record and
 /// continues; a CRC/framing violation abandons the rest of that segment;
 /// a missing or empty directory replays nothing (a fresh start is not an

@@ -90,7 +90,7 @@ class AgentClient {
   static FrameProducer ForEngine(const engine::TelemetryEngine* engine,
                                  engine::ExportOptions options = {});
 
-  /// The tree-tier producer: every frame is a full v2 re-export of the
+  /// The tree-tier producer: every frame is a full re-export of the
   /// aggregator's pooled fleet state (AggregatorEngine::ExportEncoded).
   /// Full frames are self-sufficient, so force_full changes nothing.
   static FrameProducer ForAggregator(

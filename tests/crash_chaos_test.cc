@@ -122,7 +122,7 @@ void ApplyTick(TelemetryEngine* engine, uint64_t seed) {
 std::vector<uint8_t> NormalizedExport(const TelemetryEngine& engine) {
   WireSnapshot snapshot = engine.ExportSnapshot("normalized");
   snapshot.sync_token = 0;
-  return EncodeSnapshotV2(snapshot);
+  return EncodeSnapshot(snapshot);
 }
 
 /// The child: recover, report the surviving epoch, then serve tick

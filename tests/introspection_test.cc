@@ -245,9 +245,11 @@ TEST(IntrospectionWireTest, SelfMetricsExportAndRollUpThroughAggregator) {
   // Round-trip the encoded bytes into an aggregator and query the fleet's
   // own health metric exactly like a user metric.
   std::vector<uint8_t> encoded;
-  ASSERT_TRUE(engine.ExportEncoded("host-1", &encoded, with_self).ok());
+  ExportCursor cursor;
+  ASSERT_TRUE(
+      engine.ExportDeltaEncoded("host-1", &cursor, &encoded, with_self).ok());
   AggregatorEngine aggregator;
-  ASSERT_TRUE(aggregator.IngestEncoded(encoded).ok());
+  ASSERT_TRUE(aggregator.IngestFrame(encoded).ok());
   auto fleet = aggregator.Query(
       QuerySpec::ForKey(StageMetricKey(Stage::kQuantizeBatch))
           .With(QueryRequest::Quantile(0.99)));
@@ -255,7 +257,7 @@ TEST(IntrospectionWireTest, SelfMetricsExportAndRollUpThroughAggregator) {
   EXPECT_TRUE(fleet.ValueOrDie().outcomes[0].status.ok());
   EXPECT_GT(fleet.ValueOrDie().window_count, 0);
 
-  // ExportEncoded feeds the wire counters of the exporting engine.
+  // ExportDeltaEncoded feeds the wire counters of the exporting engine.
   const CountersSnapshot counters = engine.Stats().counters;
   EXPECT_GT(counters.exports, 0);
   EXPECT_EQ(counters.wire_bytes_encoded, static_cast<int64_t>(encoded.size()));
@@ -401,22 +403,27 @@ TEST(AggregatorFleetHealthTest, CountersStalenessAndRenderers) {
 
   AggregatorEngine aggregator;
   std::vector<uint8_t> encoded;
-  // Agent A reports twice (epochs 1, 2); agent B reports once and then
-  // falls behind as A keeps ticking past the staleness budget.
+  ExportCursor cursor_a;
+  ExportCursor cursor_b;
+  // Agent A reports twice (epochs 1, then a delta at 5); agent B reports
+  // once and then falls behind as A keeps ticking past the staleness
+  // budget.
   agent_a.Tick();
   agent_b.Tick();
-  ASSERT_TRUE(agent_a.ExportEncoded("host-a", &encoded).ok());
-  ASSERT_TRUE(aggregator.IngestEncoded(encoded).ok());
-  ASSERT_TRUE(agent_b.ExportEncoded("host-b", &encoded).ok());
-  ASSERT_TRUE(aggregator.IngestEncoded(encoded).ok());
+  ASSERT_TRUE(agent_a.ExportDeltaEncoded("host-a", &cursor_a, &encoded).ok());
+  ASSERT_TRUE(aggregator.IngestFrame(encoded).ok());
+  ASSERT_TRUE(agent_b.ExportDeltaEncoded("host-b", &cursor_b, &encoded).ok());
+  ASSERT_TRUE(aggregator.IngestFrame(encoded).ok());
   for (int i = 0; i < 4; ++i) agent_a.Tick();
-  ASSERT_TRUE(agent_a.ExportEncoded("host-a", &encoded).ok());
-  ASSERT_TRUE(aggregator.IngestEncoded(encoded).ok());
+  ASSERT_TRUE(agent_a.ExportDeltaEncoded("host-a", &cursor_a, &encoded).ok());
+  auto ack = aggregator.IngestFrame(encoded);
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  ASSERT_TRUE(ack.ValueOrDie().applied);
 
   // A decode failure and a reordered (stale-epoch) frame feed the reject
   // counters without disturbing held state.
   const std::vector<uint8_t> garbage = {0x00, 0x01, 0x02, 0x03};
-  EXPECT_FALSE(aggregator.IngestEncoded(garbage).ok());
+  EXPECT_FALSE(aggregator.IngestFrame(garbage).ok());
   WireSnapshot stale = agent_a.ExportSnapshot("host-a");
   stale.epoch = 4;  // held epoch is 5; regression of 1 <= budget 2
   EXPECT_FALSE(aggregator.Ingest(std::move(stale)).ok());

@@ -179,7 +179,7 @@ TEST(MergePropertyTest, SerializeThenMergeEqualsInProcessMerge) {
         AggregatorEngine aggregator;
         const std::vector<uint8_t> encoded =
             EncodeSnapshot(engine.ExportSnapshot("agent-0", uncoalesced));
-        const Status ingested = aggregator.IngestEncoded(encoded);
+        const Status ingested = aggregator.IngestFrame(encoded).status();
         if (!ingested.ok()) return "ingest failed: " + ingested.ToString();
         auto remote = aggregator.Query(ProbeSpec(key, probe));
         if (!remote.ok()) return "remote query failed: " +
@@ -265,7 +265,8 @@ TEST(MergePropertyTest, MergeIsCommutativeAndAssociativeOverSources) {
         for (const std::vector<size_t>& ingest_order : orders) {
           AggregatorEngine aggregator;
           for (size_t index : ingest_order) {
-            const Status status = aggregator.IngestEncoded(frames[index]);
+            const Status status =
+                aggregator.IngestFrame(frames[index]).status();
             if (!status.ok()) return "ingest failed: " + status.ToString();
           }
           auto result = aggregator.Query(ProbeSpec(key, probe));
@@ -310,7 +311,7 @@ TEST(MergePropertyTest, FleetMergeStaysWithinTheoremOneRankBudget) {
         FeedAgent(&engine, key, data);
         window_union.insert(window_union.end(), data.begin(), data.end());
         ASSERT_TRUE(aggregator
-                        .IngestEncoded(EncodeSnapshot(engine.ExportSnapshot(
+                        .IngestFrame(EncodeSnapshot(engine.ExportSnapshot(
                             "agent-" + std::to_string(agent))))
                         .ok());
       }
@@ -385,13 +386,13 @@ TEST(AggregatorFleetTest, StaleSourceIsExcludedAndAccountedAsPartialFleet) {
   AggregatorEngine aggregator;  // staleness_epochs = 2
   // h0 stops reporting at epoch 4; h1 and h2 advance to epoch 8.
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h0", BackendKind::kExact, 1, 4))
+      aggregator.IngestFrame(AgentFrame("h0", BackendKind::kExact, 1, 4))
           .ok());
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h1", BackendKind::kExact, 2, 8))
+      aggregator.IngestFrame(AgentFrame("h1", BackendKind::kExact, 2, 8))
           .ok());
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h2", BackendKind::kExact, 3, 8))
+      aggregator.IngestFrame(AgentFrame("h2", BackendKind::kExact, 3, 8))
           .ok());
   EXPECT_EQ(aggregator.FleetEpoch(), 8);
 
@@ -427,7 +428,7 @@ TEST(AggregatorFleetTest, StaleSourceIsExcludedAndAccountedAsPartialFleet) {
 
   // A fully fresh fleet reports clean outcomes again.
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h0", BackendKind::kExact, 1, 8))
+      aggregator.IngestFrame(AgentFrame("h0", BackendKind::kExact, 1, 8))
           .ok());
   auto fresh = aggregator.Query(
       QuerySpec::ForSelector(TagSelector{"rtt_us", {}})
@@ -442,11 +443,11 @@ TEST(AggregatorFleetTest, ReorderedExportCannotRollASourceBackwards) {
   AggregatorEngine aggregator;
   const std::vector<uint8_t> late = AgentFrame("h0", BackendKind::kGk, 5, 6);
   const std::vector<uint8_t> early = AgentFrame("h0", BackendKind::kGk, 5, 4);
-  ASSERT_TRUE(aggregator.IngestEncoded(late).ok());
-  const Status rollback = aggregator.IngestEncoded(early);
+  ASSERT_TRUE(aggregator.IngestFrame(late).ok());
+  const Status rollback = aggregator.IngestFrame(early).status();
   EXPECT_EQ(rollback.code(), Status::Code::kFailedPrecondition);
   // Same-epoch re-send is idempotent.
-  EXPECT_TRUE(aggregator.IngestEncoded(late).ok());
+  EXPECT_TRUE(aggregator.IngestFrame(late).ok());
   EXPECT_EQ(aggregator.source_count(), 1u);
 }
 
@@ -465,7 +466,7 @@ TEST(AggregatorFleetTest, SameKeyAcrossSourcesPoolsIntoOneAnswer) {
       engine.Tick();
     }
     ASSERT_TRUE(aggregator
-                    .IngestEncoded(EncodeSnapshot(engine.ExportSnapshot(
+                    .IngestFrame(EncodeSnapshot(engine.ExportSnapshot(
                         "host-" + std::to_string(agent))))
                     .ok());
   }
@@ -481,7 +482,7 @@ TEST(AggregatorFleetTest, SameKeyAcrossSourcesPoolsIntoOneAnswer) {
 TEST(AggregatorFleetTest, UnknownTargetsAndGridMismatchesFailLoudly) {
   AggregatorEngine aggregator;
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h0", BackendKind::kQlove, 9, 4))
+      aggregator.IngestFrame(AgentFrame("h0", BackendKind::kQlove, 9, 4))
           .ok());
   EXPECT_EQ(aggregator
                 .Query(QuerySpec::ForKey(MetricKey("nope"))
@@ -503,7 +504,7 @@ TEST(AggregatorFleetTest, UnknownTargetsAndGridMismatchesFailLoudly) {
     engine.Tick();
   }
   ASSERT_TRUE(aggregator
-                  .IngestEncoded(EncodeSnapshot(engine.ExportSnapshot("h1")))
+                  .IngestFrame(EncodeSnapshot(engine.ExportSnapshot("h1")))
                   .ok());
   const Status mismatch =
       aggregator
@@ -518,20 +519,20 @@ TEST(AggregatorFleetTest, RestartedAndLateJoiningAgentsServeImmediately) {
   // the fleet late must both serve as soon as their frames arrive.
   AggregatorEngine aggregator;
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h0", BackendKind::kExact, 1, 20))
+      aggregator.IngestFrame(AgentFrame("h0", BackendKind::kExact, 1, 20))
           .ok());
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h1", BackendKind::kExact, 2, 20))
+      aggregator.IngestFrame(AgentFrame("h1", BackendKind::kExact, 2, 20))
           .ok());
   EXPECT_EQ(aggregator.FleetEpoch(), 20);
 
   // h0 restarts: epoch regresses 20 -> 4, far beyond the reorder budget.
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h0", BackendKind::kExact, 3, 4))
+      aggregator.IngestFrame(AgentFrame("h0", BackendKind::kExact, 3, 4))
           .ok());
   // h2 joins late at epoch 4 against a fleet epoch of 20.
   ASSERT_TRUE(
-      aggregator.IngestEncoded(AgentFrame("h2", BackendKind::kExact, 4, 4))
+      aggregator.IngestFrame(AgentFrame("h2", BackendKind::kExact, 4, 4))
           .ok());
   for (const auto& source : aggregator.Sources()) {
     EXPECT_FALSE(source.stale) << source.source;
@@ -567,11 +568,11 @@ TEST(AggregatorFleetTest, MixedGridPoolLowersThroughTheQloveGrid) {
       gk_engine.Tick();
     }
     ASSERT_TRUE(aggregator
-                    .IngestEncoded(EncodeSnapshot(
+                    .IngestFrame(EncodeSnapshot(
                         gk_engine.ExportSnapshot(gk_source)))
                     .ok());
     ASSERT_TRUE(
-        aggregator.IngestEncoded(AgentFrame("m", BackendKind::kQlove, 92, 4))
+        aggregator.IngestFrame(AgentFrame("m", BackendKind::kQlove, 92, 4))
             .ok());
 
     auto result = aggregator.Query(
@@ -612,7 +613,7 @@ TEST(AggregatorFleetTest, NegativeEpochFailsDecode) {
   WireSnapshot snapshot = engine.ExportSnapshot("h0");
   snapshot.epoch = -1;  // hostile: would overflow staleness arithmetic
   const std::vector<uint8_t> encoded = EncodeSnapshot(snapshot);
-  EXPECT_FALSE(DecodeSnapshot(encoded).ok());
+  EXPECT_FALSE(DecodeFrame(encoded).ok());
 }
 
 TEST(AggregatorFleetTest, CorruptSelfDescriptionIsRejectedAtIngest) {
@@ -638,7 +639,7 @@ TEST(AggregatorFleetTest, CorruptSelfDescriptionIsRejectedAtIngest) {
 
 /// Runs the delta-sync protocol over \p slice against two aggregators — a
 /// lossy one fed ExportDeltaEncoded frames through seeded faults (drops,
-/// agent restarts, NAK-driven resyncs) and a reference one fed a full v2
+/// agent restarts, NAK-driven resyncs) and a reference one fed a full
 /// frame every round — and demands the held states end bit-identical.
 /// Deterministic in (slice, seed), so it shrinks by halving.
 std::string RunDeltaSyncTrial(BackendKind kind, uint64_t seed,
@@ -673,7 +674,7 @@ std::string RunDeltaSyncTrial(BackendKind kind, uint64_t seed,
     // post-restart epoch still inside the staleness window — the frame is
     // effectively dropped, and later epochs climb past the window.
     auto ref = reference.IngestFrame(
-        EncodeSnapshotV2(engine->ExportSnapshot(source)));
+        EncodeSnapshot(engine->ExportSnapshot(source)));
     if (!ref.ok() &&
         ref.status().code() != Status::Code::kFailedPrecondition) {
       return "reference ingest failed: " + ref.status().ToString();
@@ -715,7 +716,7 @@ std::string RunDeltaSyncTrial(BackendKind kind, uint64_t seed,
     if (attempt > 0) engine->Tick();
     bool reference_applied = false;
     auto ref = reference.IngestFrame(
-        EncodeSnapshotV2(engine->ExportSnapshot(source)));
+        EncodeSnapshot(engine->ExportSnapshot(source)));
     if (ref.ok()) {
       reference_applied = ref.ValueOrDie().applied;
     } else if (ref.status().code() != Status::Code::kFailedPrecondition) {
@@ -742,9 +743,9 @@ std::string RunDeltaSyncTrial(BackendKind kind, uint64_t seed,
   if (!held_lossy.ok()) return "lossy aggregator holds no state";
   if (!held_reference.ok()) return "reference aggregator holds no state";
   const std::vector<uint8_t> bytes_lossy =
-      EncodeSnapshotV2(held_lossy.ValueOrDie());
+      EncodeSnapshot(held_lossy.ValueOrDie());
   const std::vector<uint8_t> bytes_reference =
-      EncodeSnapshotV2(held_reference.ValueOrDie());
+      EncodeSnapshot(held_reference.ValueOrDie());
   if (bytes_lossy != bytes_reference) {
     return "delta-reconstructed state diverged from full-frame replay (" +
            std::to_string(bytes_lossy.size()) + " vs " +
@@ -793,7 +794,7 @@ TEST(DeltaSyncPropertyTest, SteadyStateDeltasStayWellUnderFullFrames) {
       // emits the same number of sub-windows — the delta ships the new
       // ones where a full frame re-ships the whole live window.
       const size_t full_bytes =
-          EncodeSnapshotV2(engine.ExportSnapshot("agent-0")).size();
+          EncodeSnapshot(engine.ExportSnapshot("agent-0")).size();
       EXPECT_LT(2 * frame.size(), full_bytes)
           << "steady-state delta frame is not well under the full frame "
           << "(round " << round << ")";

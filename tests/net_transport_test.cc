@@ -240,7 +240,7 @@ TEST(NetProtocolTest, ClassificationByLeadingMagic) {
   TelemetryEngine engine;
   ASSERT_TRUE(engine.RegisterMetric(MetricKey("m")).ok());
   const std::vector<uint8_t> data =
-      engine::EncodeSnapshotV2(engine.ExportSnapshot("src"));
+      engine::EncodeSnapshot(engine.ExportSnapshot("src"));
   EXPECT_EQ(ClassifyFrame(data), FrameClass::kData);
 
   ControlFrame ack;
@@ -328,7 +328,7 @@ TEST(NetAuthTest, DataBeforeHelloIsRejected) {
   ASSERT_TRUE(engine.RegisterMetric(MetricKey("m")).ok());
   ASSERT_TRUE(
       engine::WriteFrame(
-          fd, engine::EncodeSnapshotV2(engine.ExportSnapshot("sneak")))
+          fd, engine::EncodeSnapshot(engine.ExportSnapshot("sneak")))
           .ok());
 
   auto reply = engine::ReadFrame(fd);
@@ -433,8 +433,8 @@ TEST(NetResyncTest, TortureSettlesBitIdenticalToLosslessReference) {
   auto reference_state = reference.SourceSnapshot(source);
   ASSERT_TRUE(served_state.ok());
   ASSERT_TRUE(reference_state.ok());
-  EXPECT_EQ(engine::EncodeSnapshotV2(served_state.ValueOrDie()),
-            engine::EncodeSnapshotV2(reference_state.ValueOrDie()))
+  EXPECT_EQ(engine::EncodeSnapshot(served_state.ValueOrDie()),
+            engine::EncodeSnapshot(reference_state.ValueOrDie()))
       << "torture left the served aggregator diverged from the lossless "
          "reference";
 }
@@ -466,7 +466,7 @@ TEST(NetBackpressureTest, StallEngagesAndDrainsWithoutLoss) {
   snapshot.source = "flood";
   snapshot.epoch = 1;
   snapshot.sync_token = engine::GenerateSyncToken();
-  const std::vector<uint8_t> frame = engine::EncodeSnapshotV2(snapshot);
+  const std::vector<uint8_t> frame = engine::EncodeSnapshot(snapshot);
 
   // Blast every frame without reading a single ack. The kernel buffers
   // (shrunk above) fill, FlushOutbound hits EAGAIN, the outbound queue
@@ -581,7 +581,7 @@ TEST(NetTreeTest, ThreeTierChainMatchesUnionStreamOracle) {
     ASSERT_TRUE(held.ok());
     std::vector<uint8_t> direct;
     ASSERT_TRUE(hosts[h].ExportEncoded(host_source, &direct).ok());
-    EXPECT_EQ(engine::EncodeSnapshotV2(held.ValueOrDie()), direct)
+    EXPECT_EQ(engine::EncodeSnapshot(held.ValueOrDie()), direct)
         << host_source << " diverged between the wire and the oracle";
   }
 

@@ -161,6 +161,63 @@ TEST(QueryApiTest, OffGridPhiInterpolationBoundsVsExactOracle) {
   EXPECT_EQ(on_grid.ValueOrDie().outcomes[0].rank_error_bound, 0.0);
 }
 
+TEST(QueryApiTest, FewKAnswersReportAnInfiniteValueBound) {
+  // Theorem 1 bounds the Level-2 sub-window mean only: a high-phi answer
+  // that top-k or sample-k served keeps the documented infinite
+  // value_error_bound, while Level-2 answers keep their finite bound. A
+  // steady stream with sample-k off is served by top-k; an injected burst
+  // (§5.3, as in QloveTest.BurstTriggersSampleKPipeline) is served by
+  // sample-k.
+  const WindowSpec spec(16000, 2000);
+  const std::vector<double> phis = {0.5, 0.7, 0.9, 0.99, 0.995, 0.999};
+  for (const bool bursty : {false, true}) {
+    SCOPED_TRACE(bursty ? "bursty" : "steady");
+    EngineOptions options;
+    options.num_shards = 1;
+    options.shard_window = spec;
+    if (!bursty) {
+      // Sample-k off; top-k on for every high phi (the inefficiency rule
+      // would otherwise leave p99's 20-value sub-window tails uncaptured).
+      options.default_backend.qlove.fewk.samplek_fraction = 0.0;
+      options.default_backend.qlove.fewk.ts = 100;
+    }
+    TelemetryEngine engine(options);
+    const MetricKey key("rtt_us");
+    workload::NetMonGenerator netmon(303);
+    workload::BurstInjector burst(&netmon, spec.size, spec.period, 0.999);
+    workload::Generator* gen = &netmon;
+    if (bursty) gen = &burst;
+    for (int tick = 0; tick < 12; ++tick) {
+      ASSERT_TRUE(
+          engine.RecordBatch(key, workload::Materialize(gen, spec.period))
+              .ok());
+      engine.Tick();
+    }
+
+    QuerySpec query = QuerySpec::ForKey(key);
+    for (double phi : phis) query.With(QueryRequest::Quantile(phi));
+    auto result = engine.Query(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const QueryResult& r = result.ValueOrDie();
+    const core::OutcomeSource few_k = bursty ? core::OutcomeSource::kSampleK
+                                             : core::OutcomeSource::kTopK;
+    for (size_t i = 0; i < phis.size(); ++i) {
+      const QueryOutcome& outcome = r.outcomes[i];
+      ASSERT_TRUE(outcome.status.ok());
+      if (phis[i] < 0.99) {
+        EXPECT_EQ(outcome.source, core::OutcomeSource::kLevel2);
+        EXPECT_TRUE(std::isfinite(outcome.value_error_bound))
+            << "phi=" << phis[i];
+        EXPECT_GT(outcome.value_error_bound, 0.0) << "phi=" << phis[i];
+      } else {
+        EXPECT_EQ(outcome.source, few_k) << "phi=" << phis[i];
+        EXPECT_TRUE(std::isinf(outcome.value_error_bound))
+            << "phi=" << phis[i];
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Tag-selector fleet rollup (the acceptance criterion, vs a union oracle)
 // ---------------------------------------------------------------------------

@@ -79,7 +79,7 @@ EngineOptions TestEngineOptions(BackendKind kind = BackendKind::kQlove) {
 std::vector<uint8_t> NormalizedExport(const TelemetryEngine& engine) {
   WireSnapshot snapshot = engine.ExportSnapshot("normalized");
   snapshot.sync_token = 0;
-  return EncodeSnapshotV2(snapshot);
+  return EncodeSnapshot(snapshot);
 }
 
 void DriveTicks(TelemetryEngine* engine, const MetricKey& key, uint64_t seed,
@@ -237,7 +237,10 @@ std::vector<uint8_t> ReadFile(const std::string& path) {
 void WriteFile(const std::string& path, const std::vector<uint8_t>& bytes) {
   FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  // An empty vector's data() may be null, which fwrite must not receive.
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 
@@ -618,8 +621,8 @@ TEST(AggregatorWalTest, RecoverRestoresHeldSources) {
     auto replayed = recovered.SourceSnapshot(source);
     ASSERT_TRUE(held.ok());
     ASSERT_TRUE(replayed.ok());
-    EXPECT_EQ(EncodeSnapshotV2(replayed.ValueOrDie()),
-              EncodeSnapshotV2(held.ValueOrDie()))
+    EXPECT_EQ(EncodeSnapshot(replayed.ValueOrDie()),
+              EncodeSnapshot(held.ValueOrDie()))
         << source;
   }
 
@@ -635,7 +638,8 @@ TEST(AggregatorWalTest, RecoverRequiresFreshAggregator) {
   TelemetryEngine agent(TestEngineOptions());
   DriveTicks(&agent, MetricKey("rtt_us", {}), 1, 1);
   std::vector<uint8_t> frame;
-  ASSERT_TRUE(agent.ExportEncoded("host-a", &frame).ok());
+  ExportCursor cursor;
+  ASSERT_TRUE(agent.ExportDeltaEncoded("host-a", &cursor, &frame).ok());
   ASSERT_TRUE(aggregator.IngestFrame(frame).ok());
   EXPECT_EQ(aggregator.RecoverFromWal(dir.path()).status().code(),
             Status::Code::kFailedPrecondition);

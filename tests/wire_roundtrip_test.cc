@@ -1,9 +1,9 @@
 // The wire format (engine/wire.h): encode -> decode -> re-encode must be
-// byte-identical for every backend kind (the property the aggregator's
-// replay/dedup logic and the golden fixtures rely on); truncated or
-// corrupted buffers must decode to an error Status, never UB (this suite
-// runs under the ASan/UBSan CI job); and the checked-in golden fixtures
-// pin the version-1 layout so any format change shows up as an explicit
+// byte-identical for every backend kind and for delta frames (the property
+// the aggregator's replay/dedup logic and the golden fixtures rely on);
+// truncated or corrupted buffers must decode to an error Status, never UB
+// (this suite runs under the ASan/UBSan CI job); and the checked-in golden
+// fixtures pin the layout so any format change shows up as an explicit
 // kWireVersion bump plus regenerated fixtures, not a silent skew.
 //
 // Golden fixtures live in tests/golden/ (path baked in via
@@ -135,9 +135,9 @@ WireSnapshot LiteralSnapshot(BackendKind kind) {
   return snapshot;
 }
 
-std::string GoldenPath(uint16_t version, const std::string& name) {
-  return std::string(QLOVE_GOLDEN_DIR) + "/wire_v" + std::to_string(version) +
-         "_" + name + ".hex";
+std::string GoldenPath(const std::string& name) {
+  return std::string(QLOVE_GOLDEN_DIR) + "/wire_v" +
+         std::to_string(kWireVersion) + "_" + name + ".hex";
 }
 
 /// Shared golden-fixture body: regenerate under QLOVE_REGEN_GOLDEN=1,
@@ -175,44 +175,44 @@ TEST_P(WireRoundTripTest, ReencodeIsByteIdentical) {
   ASSERT_FALSE(original.metrics.empty());
   const std::vector<uint8_t> encoded = EncodeSnapshot(original);
 
-  auto decoded = DecodeSnapshot(encoded);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  const WireSnapshot& snapshot = decoded.ValueOrDie();
+  auto frame = DecodeFrame(encoded);
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  ASSERT_FALSE(frame.ValueOrDie().is_delta);
+  const WireSnapshot& snapshot = frame.ValueOrDie().snapshot;
   EXPECT_EQ(snapshot.source, original.source);
   EXPECT_EQ(snapshot.epoch, original.epoch);
   ASSERT_EQ(snapshot.metrics.size(), original.metrics.size());
-  EXPECT_EQ(snapshot.metrics[0].key, original.metrics[0].key);
-  EXPECT_EQ(snapshot.metrics[0].options.phis, original.metrics[0].options.phis);
-  EXPECT_EQ(snapshot.metrics[0].options.backend.kind, GetParam());
-  ASSERT_EQ(snapshot.metrics[0].shards.size(),
-            original.metrics[0].shards.size());
-  for (size_t shard = 0; shard < snapshot.metrics[0].shards.size(); ++shard) {
-    EXPECT_EQ(snapshot.metrics[0].shards[shard],
-              original.metrics[0].shards[shard])
-        << "shard " << shard << " summary diverged across the round trip";
+  for (size_t m = 0; m < snapshot.metrics.size(); ++m) {
+    EXPECT_EQ(snapshot.metrics[m].key, original.metrics[m].key);
+    EXPECT_EQ(snapshot.metrics[m].options.phis,
+              original.metrics[m].options.phis);
+    ASSERT_EQ(snapshot.metrics[m].shards.size(),
+              original.metrics[m].shards.size());
+    for (size_t shard = 0; shard < snapshot.metrics[m].shards.size();
+         ++shard) {
+      EXPECT_EQ(snapshot.metrics[m].shards[shard],
+                original.metrics[m].shards[shard])
+          << "shard " << shard << " summary diverged across the round trip";
+    }
   }
-
-  const std::vector<uint8_t> reencoded = EncodeSnapshot(snapshot);
-  EXPECT_EQ(encoded, reencoded);
+  EXPECT_EQ(EncodeSnapshot(snapshot), encoded);
 }
 
 // ---------------------------------------------------------------------------
-// Caller-buffer encoding: exact pre-sized, byte-identical, reusable
+// Caller-buffer encoding: byte-identical and reusable
 // ---------------------------------------------------------------------------
 
 TEST_P(WireRoundTripTest, CallerBufferEncodeIsExactSizedAndReusable) {
   const WireSnapshot snapshot = AgentSnapshot(GetParam(), 43);
   const std::vector<uint8_t> reference = EncodeSnapshot(snapshot);
-  // The size walk must agree with the writer exactly: the encoder resizes
-  // once up front and never grows mid-write.
-  EXPECT_EQ(EncodedSnapshotSize(snapshot), reference.size());
 
   std::vector<uint8_t> buffer;
   EncodeSnapshot(snapshot, &buffer);
   EXPECT_EQ(buffer, reference);
 
-  // Steady-state agent loop: re-encoding into the same buffer produces the
-  // same bytes without reallocating (same capacity, same storage).
+  // Steady-state agent loop: re-encoding into the same buffer replaces its
+  // contents with exactly the frame's bytes, without reallocating (same
+  // capacity, same storage).
   const size_t capacity = buffer.capacity();
   const uint8_t* storage = buffer.data();
   for (int i = 0; i < 5; ++i) {
@@ -224,17 +224,18 @@ TEST_P(WireRoundTripTest, CallerBufferEncodeIsExactSizedAndReusable) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden fixtures: the v1 layout is pinned byte for byte
+// Golden fixtures: the layout is pinned byte for byte
 // ---------------------------------------------------------------------------
 
 TEST_P(WireRoundTripTest, GoldenBytesMatchCheckedInFixture) {
   const WireSnapshot fixture = LiteralSnapshot(GetParam());
   CheckGolden(EncodeSnapshot(fixture),
-              GoldenPath(kWireVersion, BackendKindName(GetParam())),
+              GoldenPath(BackendKindName(GetParam())),
               [](const std::vector<uint8_t>& golden) {
-                auto decoded = DecodeSnapshot(golden);
-                EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
-                return EncodeSnapshot(decoded.ValueOrDie());
+                auto frame = DecodeFrame(golden);
+                EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+                EXPECT_FALSE(frame.ValueOrDie().is_delta);
+                return EncodeSnapshot(frame.ValueOrDie().snapshot);
               });
 }
 
@@ -245,26 +246,31 @@ TEST_P(WireRoundTripTest, GoldenBytesMatchCheckedInFixture) {
 TEST_P(WireRoundTripTest, EveryTruncationReturnsErrorStatus) {
   const std::vector<uint8_t> encoded =
       EncodeSnapshot(AgentSnapshot(GetParam(), 7));
-  ASSERT_GT(encoded.size(), 16u);
+  ASSERT_GT(encoded.size(), 8u);
   for (size_t length = 0; length < encoded.size(); ++length) {
-    auto decoded = DecodeSnapshot(encoded.data(), length);
-    EXPECT_FALSE(decoded.ok()) << "prefix of " << length << " bytes decoded";
+    auto frame = DecodeFrame(encoded.data(), length);
+    EXPECT_FALSE(frame.ok()) << "prefix of " << length << " bytes decoded";
   }
 }
 
 TEST_P(WireRoundTripTest, ByteFlipsNeverCrashAndUsuallyFailCleanly) {
   // Flipping any single byte must yield either a clean error Status or a
-  // decodable (possibly semantically different) snapshot — never UB. Runs
-  // under the ASan/UBSan job, where an out-of-bounds read would abort.
-  std::vector<uint8_t> encoded = EncodeSnapshot(AgentSnapshot(GetParam(), 9));
+  // decodable (possibly semantically different) frame that re-encodes
+  // without reading out of bounds — never UB. Runs under the ASan/UBSan
+  // job, where an out-of-bounds read would abort.
+  std::vector<uint8_t> encoded =
+      EncodeSnapshot(AgentSnapshot(GetParam(), 9));
   for (size_t i = 0; i < encoded.size(); ++i) {
     const uint8_t saved = encoded[i];
     encoded[i] = static_cast<uint8_t>(~saved);
-    auto decoded = DecodeSnapshot(encoded);
-    if (decoded.ok()) {
-      // A surviving flip (e.g. inside a double payload) must still
-      // re-encode without reading out of bounds.
-      EncodeSnapshot(decoded.ValueOrDie());
+    auto frame = DecodeFrame(encoded);
+    if (frame.ok()) {
+      WireFrame& value = frame.ValueOrDie();
+      if (value.is_delta) {
+        EncodeDelta(value.delta);
+      } else {
+        EncodeSnapshot(value.snapshot);
+      }
     }
     encoded[i] = saved;
   }
@@ -276,30 +282,37 @@ TEST(WireFormatTest, RejectsBadMagicVersionAndHostileLengths) {
 
   std::vector<uint8_t> bad_magic = encoded;
   bad_magic[0] = 'X';
-  EXPECT_FALSE(DecodeSnapshot(bad_magic).ok());
+  EXPECT_FALSE(DecodeFrame(bad_magic).ok());
 
-  // Version 2 is live (see the V2/interop suites below), so an unknown
-  // version must be one this build does not speak at all.
   std::vector<uint8_t> bad_version = encoded;
   bad_version[4] = 99;
-  auto version_result = DecodeSnapshot(bad_version);
+  auto version_result = DecodeFrame(bad_version);
   ASSERT_FALSE(version_result.ok());
   EXPECT_NE(version_result.status().message().find("version"),
             std::string::npos);
 
-  // Hostile length: patch the source-string length (offset 6) to u32 max.
-  // The decoder must fail on the bounds check, not attempt the allocation.
-  std::vector<uint8_t> hostile = encoded;
-  hostile[6] = hostile[7] = hostile[8] = hostile[9] = 0xFF;
-  EXPECT_FALSE(DecodeSnapshot(hostile).ok());
+  // Hostile length: replace the one-byte source-string length varint
+  // (offset 7, after magic, version and flags) with a minimal 9-byte varint
+  // of 2^63 - 1. The decoder must fail on the bounds check, not attempt
+  // the allocation.
+  ASSERT_LT(encoded[7], 0x80);
+  std::vector<uint8_t> hostile(encoded.begin(), encoded.begin() + 7);
+  hostile.insert(hostile.end(), 8, 0xFF);
+  hostile.push_back(0x7F);
+  hostile.insert(hostile.end(), encoded.begin() + 8, encoded.end());
+  auto hostile_result = DecodeFrame(hostile);
+  ASSERT_FALSE(hostile_result.ok());
+  EXPECT_NE(hostile_result.status().message().find("string count"),
+            std::string::npos)
+      << hostile_result.status().message();
 
-  EXPECT_FALSE(DecodeSnapshot(nullptr, 8).ok());
-  EXPECT_FALSE(DecodeSnapshot(std::vector<uint8_t>{}).ok());
+  EXPECT_FALSE(DecodeFrame(nullptr, 8).ok());
+  EXPECT_FALSE(DecodeFrame(std::vector<uint8_t>{}).ok());
 
-  // Trailing garbage after a valid snapshot is corruption, not padding.
+  // Trailing garbage after a valid frame is corruption, not padding.
   std::vector<uint8_t> trailing = encoded;
   trailing.push_back(0);
-  EXPECT_FALSE(DecodeSnapshot(trailing).ok());
+  EXPECT_FALSE(DecodeFrame(trailing).ok());
 }
 
 // Regression: an encoded key carrying the same tag name twice must be
@@ -318,27 +331,22 @@ TEST(WireFormatTest, RejectsDuplicateTagNameInEncodedKey) {
   const MetricKey key("dup_metric", {{"qq", "aa"}, {"qz", "bb"}});
   ASSERT_TRUE(engine.RecordBatch(key, {1.0, 2.0, 3.0}).ok());
   engine.Tick();
-  const WireSnapshot snapshot = engine.ExportSnapshot("agent-dup");
-
-  for (const bool v2 : {false, true}) {
-    SCOPED_TRACE(v2 ? "v2" : "v1");
-    std::vector<uint8_t> encoded =
-        v2 ? EncodeSnapshotV2(snapshot) : EncodeSnapshot(snapshot);
-    size_t patched = 0;
-    for (size_t i = 0; i + 1 < encoded.size(); ++i) {
-      if (encoded[i] == 'q' && encoded[i + 1] == 'z') {
-        encoded[i + 1] = 'q';
-        ++patched;
-      }
+  std::vector<uint8_t> encoded =
+      EncodeSnapshot(engine.ExportSnapshot("agent-dup"));
+  size_t patched = 0;
+  for (size_t i = 0; i + 1 < encoded.size(); ++i) {
+    if (encoded[i] == 'q' && encoded[i + 1] == 'z') {
+      encoded[i + 1] = 'q';
+      ++patched;
     }
-    ASSERT_EQ(patched, 1u);
-    auto decoded = DecodeSnapshot(encoded);
-    ASSERT_FALSE(decoded.ok());
-    EXPECT_EQ(decoded.status().code(), Status::Code::kInvalidArgument);
-    EXPECT_NE(decoded.status().message().find("duplicate tag"),
-              std::string::npos)
-        << decoded.status().message();
   }
+  ASSERT_EQ(patched, 1u);
+  auto decoded = DecodeFrame(encoded);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), Status::Code::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("duplicate tag"),
+            std::string::npos)
+      << decoded.status().message();
 }
 
 // ---------------------------------------------------------------------------
@@ -392,101 +400,7 @@ TEST(WireFrameTest, MidFrameEofIsAnError) {
 }
 
 // ---------------------------------------------------------------------------
-// Version 2: compact full frames
-// ---------------------------------------------------------------------------
-
-class WireV2RoundTripTest : public ::testing::TestWithParam<BackendKind> {};
-
-TEST_P(WireV2RoundTripTest, ReencodeIsByteIdentical) {
-  const WireSnapshot original = AgentSnapshot(GetParam(), 42);
-  ASSERT_FALSE(original.metrics.empty());
-  const std::vector<uint8_t> encoded = EncodeSnapshotV2(original);
-
-  auto frame = DecodeFrame(encoded);
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  ASSERT_FALSE(frame.ValueOrDie().is_delta);
-  const WireSnapshot& snapshot = frame.ValueOrDie().snapshot;
-  EXPECT_EQ(snapshot.source, original.source);
-  EXPECT_EQ(snapshot.epoch, original.epoch);
-  ASSERT_EQ(snapshot.metrics.size(), original.metrics.size());
-  for (size_t m = 0; m < snapshot.metrics.size(); ++m) {
-    EXPECT_EQ(snapshot.metrics[m].key, original.metrics[m].key);
-    EXPECT_EQ(snapshot.metrics[m].options.phis,
-              original.metrics[m].options.phis);
-    ASSERT_EQ(snapshot.metrics[m].shards.size(),
-              original.metrics[m].shards.size());
-    for (size_t shard = 0; shard < snapshot.metrics[m].shards.size();
-         ++shard) {
-      EXPECT_EQ(snapshot.metrics[m].shards[shard],
-                original.metrics[m].shards[shard])
-          << "shard " << shard << " summary diverged across the round trip";
-    }
-  }
-  EXPECT_EQ(EncodeSnapshotV2(snapshot), encoded);
-}
-
-TEST_P(WireV2RoundTripTest, CompactsRelativeToV1) {
-  // The point of v2: the same snapshot in strictly fewer bytes. Engine
-  // state exercises the tagged value coder on real sketch output.
-  const WireSnapshot snapshot = AgentSnapshot(GetParam(), 42);
-  EXPECT_LT(EncodeSnapshotV2(snapshot).size(),
-            EncodeSnapshot(snapshot).size());
-}
-
-TEST_P(WireV2RoundTripTest, GoldenBytesMatchCheckedInFixture) {
-  const WireSnapshot fixture = LiteralSnapshot(GetParam());
-  CheckGolden(EncodeSnapshotV2(fixture),
-              GoldenPath(kWireVersionV2, BackendKindName(GetParam())),
-              [](const std::vector<uint8_t>& golden) {
-                auto frame = DecodeFrame(golden);
-                EXPECT_TRUE(frame.ok()) << frame.status().ToString();
-                EXPECT_FALSE(frame.ValueOrDie().is_delta);
-                return EncodeSnapshotV2(frame.ValueOrDie().snapshot);
-              });
-}
-
-TEST_P(WireV2RoundTripTest, EveryTruncationReturnsErrorStatus) {
-  const std::vector<uint8_t> encoded =
-      EncodeSnapshotV2(AgentSnapshot(GetParam(), 7));
-  ASSERT_GT(encoded.size(), 8u);
-  for (size_t length = 0; length < encoded.size(); ++length) {
-    auto frame = DecodeFrame(encoded.data(), length);
-    EXPECT_FALSE(frame.ok()) << "prefix of " << length << " bytes decoded";
-  }
-}
-
-TEST_P(WireV2RoundTripTest, ByteFlipsNeverCrashAndUsuallyFailCleanly) {
-  // Same contract as v1: every single-byte flip yields a clean error or a
-  // decodable frame that re-encodes without reading out of bounds. Runs
-  // under the ASan/UBSan job.
-  std::vector<uint8_t> encoded =
-      EncodeSnapshotV2(AgentSnapshot(GetParam(), 9));
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    const uint8_t saved = encoded[i];
-    encoded[i] = static_cast<uint8_t>(~saved);
-    auto frame = DecodeFrame(encoded);
-    if (frame.ok()) {
-      WireFrame& value = frame.ValueOrDie();
-      if (value.is_delta) {
-        EncodeDelta(value.delta);
-      } else {
-        EncodeSnapshotV2(value.snapshot);
-      }
-    }
-    encoded[i] = saved;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, WireV2RoundTripTest,
-    ::testing::Values(BackendKind::kQlove, BackendKind::kGk,
-                      BackendKind::kCmqs, BackendKind::kExact),
-    [](const ::testing::TestParamInfo<BackendKind>& info) {
-      return std::string(BackendKindName(info.param));
-    });
-
-// ---------------------------------------------------------------------------
-// Version 2: delta frames
+// Delta frames
 // ---------------------------------------------------------------------------
 
 /// A hand-built delta: one qlove patch and one full-mode metric, literal
@@ -558,7 +472,7 @@ TEST(WireDeltaTest, ReencodeIsByteIdentical) {
 
 TEST(WireDeltaTest, GoldenBytesMatchCheckedInFixture) {
   CheckGolden(EncodeDelta(LiteralDelta()),
-              GoldenPath(kWireVersionV2, "delta"),
+              GoldenPath("delta"),
               [](const std::vector<uint8_t>& golden) {
                 auto frame = DecodeFrame(golden);
                 EXPECT_TRUE(frame.ok()) << frame.status().ToString();
@@ -586,59 +500,63 @@ TEST(WireDeltaTest, ByteFlipsNeverCrashAndUsuallyFailCleanly) {
       if (value.is_delta) {
         EncodeDelta(value.delta);
       } else {
-        EncodeSnapshotV2(value.snapshot);
+        EncodeSnapshot(value.snapshot);
       }
     }
     encoded[i] = saved;
   }
 }
 
+TEST(WireDeltaTest, NonQloveDeltaIsNoLargerThanFullFramePlusHeader) {
+  // Non-qlove summaries are window-scoped, so a delta carries them whole:
+  // at one window state, the delta frame is the full frame plus the delta
+  // header (the base-epoch varint, at most 10 bytes, and one mode byte per
+  // metric) and never more.
+  for (BackendKind kind :
+       {BackendKind::kGk, BackendKind::kCmqs, BackendKind::kExact}) {
+    SCOPED_TRACE(BackendKindName(kind));
+    EngineOptions options;
+    options.num_shards = 2;
+    options.shard_window = WindowSpec(512, 128);
+    options.default_backend = MakeBackendOptions(kind);
+    TelemetryEngine engine(options);
+    const MetricKey key("rtt_us", {{"host", "h0"}});
+    workload::NetMonGenerator gen(31);
+    ExportCursor cursor;
+    std::vector<uint8_t> delta;
+    for (int tick = 0; tick < 6; ++tick) {
+      ASSERT_TRUE(
+          engine.RecordBatch(key, workload::Materialize(&gen, 256)).ok());
+      engine.Tick();
+      ASSERT_TRUE(engine.ExportDeltaEncoded("agent", &cursor, &delta).ok());
+    }
+    ASSERT_NE(delta[6] & kWireFlagDelta, 0) << "steady state is a delta";
+
+    ExportCursor fresh;
+    std::vector<uint8_t> full;
+    ASSERT_TRUE(engine.ExportDeltaEncoded("agent", &fresh, &full).ok());
+    ASSERT_EQ(full[6] & kWireFlagDelta, 0) << "a fresh cursor ships full";
+    constexpr size_t kMetrics = 1;
+    EXPECT_LE(delta.size(), full.size() + 10 + kMetrics);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Version interop: v1 and v2 coexist, unknown versions are rejected
+// Versions: only kWireVersion decodes
 // ---------------------------------------------------------------------------
-
-TEST(WireInteropTest, V1FramesDecodeThroughBothApis) {
-  const WireSnapshot original = AgentSnapshot(BackendKind::kQlove, 17);
-  const std::vector<uint8_t> v1 = EncodeSnapshot(original);
-
-  auto frame = DecodeFrame(v1);
-  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  EXPECT_FALSE(frame.ValueOrDie().is_delta);
-  // DecodeFrame on a v1 buffer must agree with the legacy decoder exactly
-  // (no flag-day: old senders keep working against new receivers).
-  EXPECT_EQ(EncodeSnapshot(frame.ValueOrDie().snapshot), v1);
-
-  auto legacy = DecodeSnapshot(v1);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(EncodeSnapshot(legacy.ValueOrDie()), v1);
-}
-
-TEST(WireInteropTest, V2FullFramesDecodeThroughDecodeSnapshot) {
-  const WireSnapshot original = AgentSnapshot(BackendKind::kGk, 18);
-  const std::vector<uint8_t> v2 = EncodeSnapshotV2(original);
-  auto decoded = DecodeSnapshot(v2);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(EncodeSnapshotV2(decoded.ValueOrDie()), v2);
-}
-
-TEST(WireInteropTest, DeltaFramesAreRejectedByDecodeSnapshot) {
-  // A delta applies against held state DecodeSnapshot does not have; it
-  // must refuse loudly and point at the frame-aware path.
-  const std::vector<uint8_t> encoded = EncodeDelta(LiteralDelta());
-  auto decoded = DecodeSnapshot(encoded);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("delta"), std::string::npos);
-}
 
 TEST(WireInteropTest, UnknownVersionsAndFlagsAreRejected) {
   const std::vector<uint8_t> encoded =
-      EncodeSnapshotV2(AgentSnapshot(BackendKind::kExact, 19));
-  for (uint8_t version : {0, 3, 99}) {
+      EncodeSnapshot(AgentSnapshot(BackendKind::kExact, 19));
+  // Version 1 is the retired fixed-width layout: its frames fail like any
+  // other version this build does not speak.
+  for (uint8_t version : {0, 1, 3, 99}) {
     std::vector<uint8_t> bad = encoded;
     bad[4] = version;
     bad[5] = 0;
     auto frame = DecodeFrame(bad);
     ASSERT_FALSE(frame.ok()) << "version " << int(version) << " decoded";
+    EXPECT_EQ(frame.status().code(), Status::Code::kInvalidArgument);
     EXPECT_NE(frame.status().message().find("version"), std::string::npos);
   }
   // Unknown flag bits are a forward-compat fence, not padding.
@@ -683,13 +601,12 @@ TEST(WireCoalesceTest, CoalescedExportShedsTheShardMultiplier) {
   EXPECT_EQ(raw.metrics[0].shards.size(), 8u);
   // The framing/quantile multiplier is gone; the concatenated tail caches
   // remain (they carry irreducible few-k state for 8 shards' samples), so
-  // the guaranteed floor here is a constant-fraction shed. The full v1
-  // fixed-width overhead disappears in v2 (see CompactsRelativeToV1) and
-  // the bench gate pins the end-to-end byte reduction.
+  // the guaranteed floor here is a constant-fraction shed; the bench gate
+  // pins the end-to-end byte reduction.
   EXPECT_LT(4 * bytes_coalesced, 3 * bytes_raw);
 
   // Coalescing must preserve the window population and remain a valid,
-  // ingestible v1 snapshot (old aggregators keep working).
+  // ingestible full frame.
   auto population = [](const WireMetricSummary& metric) {
     int64_t total = 0;
     for (const BackendSummary& shard : metric.shards) {
@@ -701,7 +618,9 @@ TEST(WireCoalesceTest, CoalescedExportShedsTheShardMultiplier) {
   };
   EXPECT_EQ(population(coalesced.metrics[0]), population(raw.metrics[0]));
   AggregatorEngine aggregator;
-  EXPECT_TRUE(aggregator.IngestEncoded(EncodeSnapshot(coalesced)).ok());
+  auto ack = aggregator.IngestFrame(EncodeSnapshot(coalesced));
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_TRUE(ack.ValueOrDie().applied);
 }
 
 INSTANTIATE_TEST_SUITE_P(
