@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -315,18 +316,46 @@ INSTANTIATE_TEST_SUITE_P(
 // QuantileOperator policies (the stream/ seam the backends wrap)
 // ---------------------------------------------------------------------------
 
+// gtest lists each case with the raw bytes of its parameter, so the
+// parameter holds no pointer: a pointer's bytes move with the binary layout
+// and with ASLR, and the test names would move with them.
+enum class OperatorKind : uint64_t {
+  kQlove,
+  kExact,
+  kCmqs,
+  kAm,
+  kRandom,
+  kMoment,
+};
+
 struct OperatorCase {
-  const char* name;
+  OperatorKind kind;
   double avg_rank_tol;  ///< Average rank-error budget on netmon.
 };
 
-std::unique_ptr<QuantileOperator> MakeOperator(const std::string& name) {
-  if (name == "qlove") return std::make_unique<core::QloveOperator>();
-  if (name == "exact") return std::make_unique<sketch::ExactOperator>();
-  if (name == "cmqs") return std::make_unique<sketch::CmqsOperator>();
-  if (name == "am") return std::make_unique<sketch::AmOperator>();
-  if (name == "random") return std::make_unique<sketch::RandomSketchOperator>();
-  if (name == "moment") return std::make_unique<sketch::MomentOperator>();
+const char* OperatorKindName(OperatorKind kind) {
+  switch (kind) {
+    case OperatorKind::kQlove: return "qlove";
+    case OperatorKind::kExact: return "exact";
+    case OperatorKind::kCmqs: return "cmqs";
+    case OperatorKind::kAm: return "am";
+    case OperatorKind::kRandom: return "random";
+    case OperatorKind::kMoment: return "moment";
+  }
+  return "unknown";
+}
+
+std::unique_ptr<QuantileOperator> MakeOperator(OperatorKind kind) {
+  switch (kind) {
+    case OperatorKind::kQlove: return std::make_unique<core::QloveOperator>();
+    case OperatorKind::kExact: return std::make_unique<sketch::ExactOperator>();
+    case OperatorKind::kCmqs: return std::make_unique<sketch::CmqsOperator>();
+    case OperatorKind::kAm: return std::make_unique<sketch::AmOperator>();
+    case OperatorKind::kRandom:
+      return std::make_unique<sketch::RandomSketchOperator>();
+    case OperatorKind::kMoment:
+      return std::make_unique<sketch::MomentOperator>();
+  }
   return nullptr;
 }
 
@@ -335,7 +364,7 @@ class OperatorConformanceTest : public ::testing::TestWithParam<OperatorCase> {
 
 TEST_P(OperatorConformanceTest, RankErrorWithinTolerance) {
   const OperatorCase param = GetParam();
-  std::unique_ptr<QuantileOperator> op = MakeOperator(param.name);
+  std::unique_ptr<QuantileOperator> op = MakeOperator(param.kind);
   ASSERT_NE(op, nullptr);
 
   workload::NetMonGenerator gen(47);
@@ -352,7 +381,7 @@ TEST_P(OperatorConformanceTest, RankErrorWithinTolerance) {
 
 TEST_P(OperatorConformanceTest, WindowExpiryUnderDistributionShift) {
   const OperatorCase param = GetParam();
-  std::unique_ptr<QuantileOperator> op = MakeOperator(param.name);
+  std::unique_ptr<QuantileOperator> op = MakeOperator(param.kind);
   ASSERT_NE(op, nullptr);
 
   Rng rng(53);
@@ -380,12 +409,14 @@ TEST_P(OperatorConformanceTest, WindowExpiryUnderDistributionShift) {
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, OperatorConformanceTest,
-    ::testing::Values(OperatorCase{"qlove", 0.03}, OperatorCase{"exact", 1e-9},
-                      OperatorCase{"cmqs", 0.03}, OperatorCase{"am", 0.05},
-                      OperatorCase{"random", 0.05},
-                      OperatorCase{"moment", 0.05}),
+    ::testing::Values(OperatorCase{OperatorKind::kQlove, 0.03},
+                      OperatorCase{OperatorKind::kExact, 1e-9},
+                      OperatorCase{OperatorKind::kCmqs, 0.03},
+                      OperatorCase{OperatorKind::kAm, 0.05},
+                      OperatorCase{OperatorKind::kRandom, 0.05},
+                      OperatorCase{OperatorKind::kMoment, 0.05}),
     [](const ::testing::TestParamInfo<OperatorCase>& info) {
-      return std::string(info.param.name);
+      return std::string(OperatorKindName(info.param.kind));
     });
 
 }  // namespace

@@ -1,6 +1,9 @@
 // The wire format (engine/wire.h): encode -> decode -> re-encode must be
 // byte-identical for every backend kind and for delta frames (the property
-// the aggregator's replay/dedup logic and the golden fixtures rely on);
+// the aggregator's replay/dedup logic and the golden fixtures rely on).
+// WireV2RoundTripTest runs these properties over version-2 full frames;
+// WireRoundTripTest runs them over the frames an engine's export path
+// ships, a full frame and then steady-state deltas. Further:
 // truncated or corrupted buffers must decode to an error Status, never UB
 // (this suite runs under the ASan/UBSan CI job); and the checked-in golden
 // fixtures pin the layout so any format change shows up as an explicit
@@ -164,13 +167,19 @@ void CheckGolden(const std::vector<uint8_t>& encoded, const std::string& path,
   EXPECT_EQ(reencode(golden), golden);
 }
 
-class WireRoundTripTest : public ::testing::TestWithParam<BackendKind> {};
+/// Re-encodes a decoded frame as the kind of frame it arrived as.
+std::vector<uint8_t> Reencode(const WireFrame& frame) {
+  return frame.is_delta ? EncodeDelta(frame.delta)
+                        : EncodeSnapshot(frame.snapshot);
+}
+
+class WireV2RoundTripTest : public ::testing::TestWithParam<BackendKind> {};
 
 // ---------------------------------------------------------------------------
 // encode -> decode -> re-encode is byte-identical (engine-driven state)
 // ---------------------------------------------------------------------------
 
-TEST_P(WireRoundTripTest, ReencodeIsByteIdentical) {
+TEST_P(WireV2RoundTripTest, ReencodeIsByteIdentical) {
   const WireSnapshot original = AgentSnapshot(GetParam(), 42);
   ASSERT_FALSE(original.metrics.empty());
   const std::vector<uint8_t> encoded = EncodeSnapshot(original);
@@ -199,35 +208,10 @@ TEST_P(WireRoundTripTest, ReencodeIsByteIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Caller-buffer encoding: byte-identical and reusable
-// ---------------------------------------------------------------------------
-
-TEST_P(WireRoundTripTest, CallerBufferEncodeIsExactSizedAndReusable) {
-  const WireSnapshot snapshot = AgentSnapshot(GetParam(), 43);
-  const std::vector<uint8_t> reference = EncodeSnapshot(snapshot);
-
-  std::vector<uint8_t> buffer;
-  EncodeSnapshot(snapshot, &buffer);
-  EXPECT_EQ(buffer, reference);
-
-  // Steady-state agent loop: re-encoding into the same buffer replaces its
-  // contents with exactly the frame's bytes, without reallocating (same
-  // capacity, same storage).
-  const size_t capacity = buffer.capacity();
-  const uint8_t* storage = buffer.data();
-  for (int i = 0; i < 5; ++i) {
-    EncodeSnapshot(snapshot, &buffer);
-    EXPECT_EQ(buffer, reference);
-  }
-  EXPECT_EQ(buffer.capacity(), capacity);
-  EXPECT_EQ(buffer.data(), storage);
-}
-
-// ---------------------------------------------------------------------------
 // Golden fixtures: the layout is pinned byte for byte
 // ---------------------------------------------------------------------------
 
-TEST_P(WireRoundTripTest, GoldenBytesMatchCheckedInFixture) {
+TEST_P(WireV2RoundTripTest, GoldenBytesMatchCheckedInFixture) {
   const WireSnapshot fixture = LiteralSnapshot(GetParam());
   CheckGolden(EncodeSnapshot(fixture),
               GoldenPath(BackendKindName(GetParam())),
@@ -243,7 +227,7 @@ TEST_P(WireRoundTripTest, GoldenBytesMatchCheckedInFixture) {
 // Truncation and corruption: error Status, never UB
 // ---------------------------------------------------------------------------
 
-TEST_P(WireRoundTripTest, EveryTruncationReturnsErrorStatus) {
+TEST_P(WireV2RoundTripTest, EveryTruncationReturnsErrorStatus) {
   const std::vector<uint8_t> encoded =
       EncodeSnapshot(AgentSnapshot(GetParam(), 7));
   ASSERT_GT(encoded.size(), 8u);
@@ -253,27 +237,22 @@ TEST_P(WireRoundTripTest, EveryTruncationReturnsErrorStatus) {
   }
 }
 
-TEST_P(WireRoundTripTest, ByteFlipsNeverCrashAndUsuallyFailCleanly) {
-  // Flipping any single byte must yield either a clean error Status or a
-  // decodable (possibly semantically different) frame that re-encodes
-  // without reading out of bounds — never UB. Runs under the ASan/UBSan
-  // job, where an out-of-bounds read would abort.
-  std::vector<uint8_t> encoded =
-      EncodeSnapshot(AgentSnapshot(GetParam(), 9));
+/// Flipping any single byte must yield either a clean error Status or a
+/// decodable (possibly semantically different) frame that re-encodes
+/// without reading out of bounds — never UB. Runs under the ASan/UBSan
+/// job, where an out-of-bounds read would abort.
+void FlipEveryByte(std::vector<uint8_t> encoded) {
   for (size_t i = 0; i < encoded.size(); ++i) {
     const uint8_t saved = encoded[i];
     encoded[i] = static_cast<uint8_t>(~saved);
     auto frame = DecodeFrame(encoded);
-    if (frame.ok()) {
-      WireFrame& value = frame.ValueOrDie();
-      if (value.is_delta) {
-        EncodeDelta(value.delta);
-      } else {
-        EncodeSnapshot(value.snapshot);
-      }
-    }
+    if (frame.ok()) Reencode(frame.ValueOrDie());
     encoded[i] = saved;
   }
+}
+
+TEST_P(WireV2RoundTripTest, ByteFlipsNeverCrashAndUsuallyFailCleanly) {
+  FlipEveryByte(EncodeSnapshot(AgentSnapshot(GetParam(), 9)));
 }
 
 TEST(WireFormatTest, RejectsBadMagicVersionAndHostileLengths) {
@@ -403,17 +382,19 @@ TEST(WireFrameTest, MidFrameEofIsAnError) {
 // Delta frames
 // ---------------------------------------------------------------------------
 
-/// A hand-built delta: one qlove patch and one full-mode metric, literal
-/// values only (same reasoning as LiteralSnapshot).
-WireDelta LiteralDelta() {
-  WireDelta delta;
-  delta.source = "golden-agent";
-  delta.epoch = 9;
-  delta.base_epoch = 7;
-  delta.sync_token = 0x0123456789ABCDEFull;
-
+/// One hand-built metric as a delta frame carries it for \p kind: a qlove
+/// sub-window patch, or the full-mode payload of every other backend.
+/// Literal values only (same reasoning as LiteralSnapshot).
+WireMetricDelta LiteralMetricDelta(BackendKind kind) {
   WireMetricDelta patch;
   patch.key = MetricKey("rtt_us", {{"dc", "eu-1"}, {"host", "h3"}});
+  if (kind != BackendKind::kQlove) {
+    const WireSnapshot donor = LiteralSnapshot(kind);
+    patch.mode = WireDeltaMode::kFull;
+    patch.options = donor.metrics[0].options;
+    patch.shards = donor.metrics[0].shards;
+    return patch;
+  }
   patch.mode = WireDeltaMode::kQloveDelta;
   patch.first_live_epoch = 6;
   patch.count = 512;
@@ -433,16 +414,26 @@ WireDelta LiteralDelta() {
   sub.epoch = 9;
   sub.bursty = true;
   patch.new_subwindows.push_back(sub);
-  delta.metrics.push_back(std::move(patch));
+  return patch;
+}
 
-  WireMetricDelta full;
-  full.key = MetricKey("tx_bytes");
-  full.mode = WireDeltaMode::kFull;
-  const WireSnapshot donor = LiteralSnapshot(BackendKind::kGk);
-  full.options = donor.metrics[0].options;
-  full.shards = donor.metrics[0].shards;
-  delta.metrics.push_back(std::move(full));
+/// A hand-built delta frame carrying \p metrics.
+WireDelta LiteralDelta(std::vector<WireMetricDelta> metrics) {
+  WireDelta delta;
+  delta.source = "golden-agent";
+  delta.epoch = 9;
+  delta.base_epoch = 7;
+  delta.sync_token = 0x0123456789ABCDEFull;
+  delta.metrics = std::move(metrics);
   return delta;
+}
+
+/// A mixed delta: one qlove patch and one full-mode metric.
+WireDelta LiteralDelta() {
+  WireMetricDelta full = LiteralMetricDelta(BackendKind::kGk);
+  full.key = MetricKey("tx_bytes");
+  return LiteralDelta({LiteralMetricDelta(BackendKind::kQlove),
+                       std::move(full)});
 }
 
 TEST(WireDeltaTest, ReencodeIsByteIdentical) {
@@ -490,21 +481,7 @@ TEST(WireDeltaTest, EveryTruncationReturnsErrorStatus) {
 }
 
 TEST(WireDeltaTest, ByteFlipsNeverCrashAndUsuallyFailCleanly) {
-  std::vector<uint8_t> encoded = EncodeDelta(LiteralDelta());
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    const uint8_t saved = encoded[i];
-    encoded[i] = static_cast<uint8_t>(~saved);
-    auto frame = DecodeFrame(encoded);
-    if (frame.ok()) {
-      WireFrame& value = frame.ValueOrDie();
-      if (value.is_delta) {
-        EncodeDelta(value.delta);
-      } else {
-        EncodeSnapshot(value.snapshot);
-      }
-    }
-    encoded[i] = saved;
-  }
+  FlipEveryByte(EncodeDelta(LiteralDelta()));
 }
 
 TEST(WireDeltaTest, NonQloveDeltaIsNoLargerThanFullFramePlusHeader) {
@@ -539,6 +516,127 @@ TEST(WireDeltaTest, NonQloveDeltaIsNoLargerThanFullFramePlusHeader) {
     constexpr size_t kMetrics = 1;
     EXPECT_LE(delta.size(), full.size() + 10 + kMetrics);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The export path: the full frame, then steady-state deltas, per backend
+// ---------------------------------------------------------------------------
+
+/// The frames an agent ships for \p kind through one ExportCursor over six
+/// ticks: a full frame first, a delta after every later tick.
+std::vector<std::vector<uint8_t>> ExportedFrames(BackendKind kind,
+                                                 uint64_t seed) {
+  EngineOptions options;
+  options.num_shards = 2;
+  options.shard_window = WindowSpec(512, 128);
+  options.default_backend = MakeBackendOptions(kind);
+  TelemetryEngine engine(options);
+  const MetricKey key("rtt_us", {{"host", "h0"}, {"service", "netmon"}});
+  workload::NetMonGenerator gen(seed);
+  ExportCursor cursor;
+  std::vector<std::vector<uint8_t>> frames;
+  for (int tick = 0; tick < 6; ++tick) {
+    EXPECT_TRUE(
+        engine.RecordBatch(key, workload::Materialize(&gen, 256)).ok());
+    engine.Tick();
+    std::vector<uint8_t> frame;
+    EXPECT_TRUE(engine
+                    .ExportDeltaEncoded(
+                        "agent-" + std::string(BackendKindName(kind)),
+                        &cursor, &frame)
+                    .ok());
+    frames.push_back(std::move(frame));
+  }
+  return frames;
+}
+
+class WireRoundTripTest : public ::testing::TestWithParam<BackendKind> {};
+
+TEST_P(WireRoundTripTest, ReencodeIsByteIdentical) {
+  const std::vector<std::vector<uint8_t>> frames =
+      ExportedFrames(GetParam(), 42);
+  // Qlove summaries are epoch-addressable and ship as sub-window patches;
+  // every other backend's summary is window-scoped and ships whole.
+  const WireDeltaMode steady_mode = GetParam() == BackendKind::kQlove
+                                        ? WireDeltaMode::kQloveDelta
+                                        : WireDeltaMode::kFull;
+  for (size_t i = 0; i < frames.size(); ++i) {
+    SCOPED_TRACE("frame " + std::to_string(i));
+    auto frame = DecodeFrame(frames[i]);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    const WireFrame& value = frame.ValueOrDie();
+    EXPECT_EQ(value.is_delta, i > 0) << "a full frame, then deltas";
+    if (value.is_delta) {
+      ASSERT_EQ(value.delta.metrics.size(), 1u);
+      EXPECT_EQ(value.delta.metrics[0].mode, steady_mode);
+      EXPECT_EQ(value.delta.epoch, value.delta.base_epoch + 1);
+    }
+    EXPECT_EQ(Reencode(value), frames[i]);
+  }
+}
+
+TEST_P(WireRoundTripTest, CallerBufferEncodeIsExactSizedAndReusable) {
+  std::vector<WireFrame> decoded;
+  const std::vector<std::vector<uint8_t>> frames =
+      ExportedFrames(GetParam(), 43);
+  for (const std::vector<uint8_t>& bytes : frames) {
+    auto frame = DecodeFrame(bytes);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    decoded.push_back(std::move(frame.ValueOrDie()));
+  }
+  auto encode_into = [](const WireFrame& frame, std::vector<uint8_t>* out) {
+    if (frame.is_delta) {
+      EncodeDelta(frame.delta, out);
+    } else {
+      EncodeSnapshot(frame.snapshot, out);
+    }
+  };
+
+  std::vector<uint8_t> buffer;
+  for (size_t i = 0; i < decoded.size(); ++i) {
+    encode_into(decoded[i], &buffer);
+    EXPECT_EQ(buffer, frames[i]) << "frame " << i;
+  }
+
+  // Steady-state agent loop: once the buffer has held the largest frame,
+  // re-encoding full and delta frames into it replaces its contents with
+  // exactly each frame's bytes, without reallocating (same capacity, same
+  // storage).
+  const size_t capacity = buffer.capacity();
+  const uint8_t* storage = buffer.data();
+  for (int pass = 0; pass < 5; ++pass) {
+    for (size_t i = 0; i < decoded.size(); ++i) {
+      encode_into(decoded[i], &buffer);
+      EXPECT_EQ(buffer, frames[i]) << "frame " << i;
+    }
+  }
+  EXPECT_EQ(buffer.capacity(), capacity);
+  EXPECT_EQ(buffer.data(), storage);
+}
+
+TEST_P(WireRoundTripTest, GoldenBytesMatchCheckedInFixture) {
+  const WireDelta fixture = LiteralDelta({LiteralMetricDelta(GetParam())});
+  CheckGolden(EncodeDelta(fixture),
+              GoldenPath("delta_" + std::string(BackendKindName(GetParam()))),
+              [](const std::vector<uint8_t>& golden) {
+                auto frame = DecodeFrame(golden);
+                EXPECT_TRUE(frame.ok()) << frame.status().ToString();
+                EXPECT_TRUE(frame.ValueOrDie().is_delta);
+                return EncodeDelta(frame.ValueOrDie().delta);
+              });
+}
+
+TEST_P(WireRoundTripTest, EveryTruncationReturnsErrorStatus) {
+  const std::vector<uint8_t> encoded = ExportedFrames(GetParam(), 7).back();
+  ASSERT_NE(encoded[6] & kWireFlagDelta, 0);
+  for (size_t length = 0; length < encoded.size(); ++length) {
+    auto frame = DecodeFrame(encoded.data(), length);
+    EXPECT_FALSE(frame.ok()) << "prefix of " << length << " bytes decoded";
+  }
+}
+
+TEST_P(WireRoundTripTest, ByteFlipsNeverCrashAndUsuallyFailCleanly) {
+  FlipEveryByte(ExportedFrames(GetParam(), 9).back());
 }
 
 // ---------------------------------------------------------------------------
@@ -623,13 +721,20 @@ TEST(WireCoalesceTest, CoalescedExportShedsTheShardMultiplier) {
   EXPECT_TRUE(ack.ValueOrDie().applied);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllBackends, WireRoundTripTest,
-    ::testing::Values(BackendKind::kQlove, BackendKind::kGk,
-                      BackendKind::kCmqs, BackendKind::kExact),
-    [](const ::testing::TestParamInfo<BackendKind>& info) {
-      return std::string(BackendKindName(info.param));
-    });
+auto AllBackendKinds() {
+  return ::testing::Values(BackendKind::kQlove, BackendKind::kGk,
+                           BackendKind::kCmqs, BackendKind::kExact);
+}
+
+std::string BackendParamName(
+    const ::testing::TestParamInfo<BackendKind>& info) {
+  return std::string(BackendKindName(info.param));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, WireV2RoundTripTest, AllBackendKinds(),
+                         BackendParamName);
+INSTANTIATE_TEST_SUITE_P(AllBackends, WireRoundTripTest, AllBackendKinds(),
+                         BackendParamName);
 
 }  // namespace
 }  // namespace engine
