@@ -14,24 +14,23 @@ namespace engine {
 
 namespace {
 
-/// Window population of one shipped summary. Weighted summaries carry it
-/// precomputed; qlove summaries carry it as per-sub-window counts (the
-/// local merge derives it the same way).
-int64_t SummaryPopulation(const BackendSummary& summary) {
-  if (summary.kind != BackendKind::kQlove) return summary.count;
+int64_t MetricPopulation(const WireMetricSummary& metric) {
   int64_t population = 0;
-  for (const core::SubWindowSummary& sub : summary.subwindows) {
-    population += sub.count;
+  for (const BackendSummary& shard : metric.shards) {
+    population += WindowExtent::Of(shard).population;
   }
   return population;
 }
 
-int64_t MetricPopulation(const WireMetricSummary& metric) {
-  int64_t population = 0;
-  for (const BackendSummary& shard : metric.shards) {
-    population += SummaryPopulation(shard);
-  }
-  return population;
+/// The first held sub-window a delta keeps: the oldest with epoch >=
+/// \p first_live_epoch (WireMetricDelta::first_live_epoch).
+template <typename SubWindows>
+auto FirstLive(SubWindows& subs, int64_t first_live_epoch) {
+  return std::lower_bound(
+      subs.begin(), subs.end(), first_live_epoch,
+      [](const core::SubWindowSummary& sub, int64_t epoch) {
+        return sub.epoch < epoch;
+      });
 }
 
 int64_t WallUnixSeconds() {
@@ -412,68 +411,82 @@ Result<AggregatorEngine::IngestAck> AggregatorEngine::ApplyDelta(
     return nak;
   }
 
-  // Validate-then-swap: assemble the replacement metric list fully before
-  // touching held state, so a NAK mid-way leaves the source intact. The
-  // delta's metric list is authoritative — held metrics it omits were
-  // deregistered on the agent and are dropped here.
-  std::vector<WireMetricSummary> metrics;
-  metrics.reserve(delta.metrics.size());
-  for (WireMetricDelta& metric : delta.metrics) {
-    if (metric.mode == WireDeltaMode::kFull) {
-      WireMetricSummary out;
-      out.key = metric.key;
-      out.options = std::move(metric.options);
-      out.shards = std::move(metric.shards);
-      metrics.push_back(std::move(out));
-      continue;
+  // Validate first, read-only, so a NAK leaves the held source untouched:
+  // every kQloveDelta must find its held summary in the coalesced qlove
+  // shape deltas patch, and must bring sub-windows strictly newer than
+  // what survives the trim. Both metric lists are in canonical key order,
+  // so one merge scan pairs each delta metric with its held index.
+  std::vector<WireMetricSummary>& held_metrics = held.snapshot.metrics;
+  constexpr size_t kUnheld = static_cast<size_t>(-1);
+  std::vector<size_t> held_index(delta.metrics.size(), kUnheld);
+  bool in_place = delta.metrics.size() == held_metrics.size();
+  size_t j = 0;
+  for (size_t i = 0; i < delta.metrics.size(); ++i) {
+    const WireMetricDelta& metric = delta.metrics[i];
+    while (j < held_metrics.size() && held_metrics[j].key < metric.key) ++j;
+    if (j < held_metrics.size() && held_metrics[j].key == metric.key) {
+      held_index[i] = j++;
     }
-    // kQloveDelta patches the held summary: trim sub-windows the agent's
-    // window has evicted, append the ones it has emitted since base_epoch.
-    auto held_it = std::lower_bound(
-        held.snapshot.metrics.begin(), held.snapshot.metrics.end(), metric.key,
-        [](const WireMetricSummary& m, const MetricKey& key) {
-          return m.key < key;
-        });
-    if (held_it == held.snapshot.metrics.end() ||
-        !(held_it->key == metric.key)) {
+    in_place = in_place && held_index[i] == i;
+    if (metric.mode == WireDeltaMode::kFull) continue;
+    if (held_index[i] == kUnheld) {
       return nak;  // patch target unknown — agent and aggregator disagree
     }
-    if (held_it->shards.size() != 1 ||
-        held_it->shards[0].kind != BackendKind::kQlove ||
-        held_it->options.backend.kind != BackendKind::kQlove) {
+    const WireMetricSummary& target = held_metrics[held_index[i]];
+    if (target.shards.size() != 1 ||
+        target.shards[0].kind != BackendKind::kQlove ||
+        target.options.backend.kind != BackendKind::kQlove) {
       // Held state is not the coalesced qlove shape deltas patch (e.g. an
       // uncoalesced full frame, or a config change on the agent).
       return nak;
     }
-    WireMetricSummary merged = *held_it;
-    BackendSummary& summary = merged.shards[0];
-    auto& subs = summary.subwindows;
-    auto live = std::lower_bound(
-        subs.begin(), subs.end(), metric.first_live_epoch,
-        [](const core::SubWindowSummary& sub, int64_t epoch) {
-          return sub.epoch < epoch;
-        });
-    subs.erase(subs.begin(), live);
-    if (!metric.new_subwindows.empty()) {
-      const int64_t held_max = subs.empty() ? -1 : subs.back().epoch;
-      if (metric.new_subwindows.front().epoch <= held_max) {
-        // The "new" sub-windows overlap what we hold: the agent's view of
-        // our state has diverged. Applying would double-count.
-        return nak;
-      }
-      subs.insert(subs.end(),
-                  std::make_move_iterator(metric.new_subwindows.begin()),
-                  std::make_move_iterator(metric.new_subwindows.end()));
+    const auto& subs = target.shards[0].subwindows;
+    const int64_t held_max =
+        FirstLive(subs, metric.first_live_epoch) == subs.end()
+            ? -1
+            : subs.back().epoch;
+    if (!metric.new_subwindows.empty() &&
+        metric.new_subwindows.front().epoch <= held_max) {
+      // The "new" sub-windows overlap what we hold after the trim: the
+      // agent's view of our state has diverged. Applying would
+      // double-count.
+      return nak;
     }
+  }
+
+  // Then patch, moving instead of copying. The delta's metric list is
+  // authoritative — held metrics it omits were deregistered on the agent
+  // and are dropped — so the held list is rebuilt when the key lists
+  // differ; in the steady state they match and every summary is patched
+  // where it is held. kQloveDelta trims sub-windows the agent's window
+  // has evicted and appends the ones it emitted since base_epoch.
+  std::vector<WireMetricSummary> rebuilt;
+  if (!in_place) rebuilt.resize(delta.metrics.size());
+  std::vector<WireMetricSummary>& metrics = in_place ? held_metrics : rebuilt;
+  for (size_t i = 0; i < delta.metrics.size(); ++i) {
+    WireMetricDelta& metric = delta.metrics[i];
+    WireMetricSummary& out = metrics[i];
+    if (metric.mode == WireDeltaMode::kFull) {
+      out.key = metric.key;
+      out.options = std::move(metric.options);
+      out.shards = std::move(metric.shards);
+      continue;
+    }
+    if (!in_place) out = std::move(held_metrics[held_index[i]]);
+    BackendSummary& summary = out.shards[0];
+    auto& subs = summary.subwindows;
+    subs.erase(subs.begin(), FirstLive(subs, metric.first_live_epoch));
+    subs.insert(subs.end(),
+                std::make_move_iterator(metric.new_subwindows.begin()),
+                std::make_move_iterator(metric.new_subwindows.end()));
     summary.count = metric.count;
     summary.inflight = metric.inflight;
     summary.burst_active = metric.burst_active;
     summary.rank_error = metric.rank_error;
-    metrics.push_back(std::move(merged));
   }
+  if (!in_place) held_metrics = std::move(rebuilt);
 
   held.snapshot.epoch = delta.epoch;
-  held.snapshot.metrics = std::move(metrics);
   held.delta_frames += 1;
   fleet_epoch_ = std::max(fleet_epoch_, delta.epoch);
   held.fleet_epoch_at_ingest = fleet_epoch_;
@@ -736,6 +749,7 @@ std::vector<AggregatorEngine::SourceStatus> AggregatorEngine::Sources() const {
   // connected-but-quiet source surfaces with epoch 0 / no metrics, and a
   // dead agent keeps its last snapshot with connected=false. Both maps are
   // name-ordered, so a two-pointer walk keeps the output sorted.
+  const int64_t now_unix_s = WallUnixSeconds();
   auto src = sources_.begin();
   auto conn = connections_.begin();
   while (src != sources_.end() || conn != connections_.end()) {
@@ -752,6 +766,9 @@ std::vector<AggregatorEngine::SourceStatus> AggregatorEngine::Sources() const {
       status.epoch = state.snapshot.epoch;
       status.stale = IsStale(state, fleet_epoch_);
       status.epochs_behind = fleet_epoch_ - state.fleet_epoch_at_ingest;
+      // A wall clock stepped backwards must not read as negative age.
+      status.last_applied_age_s =
+          std::max<int64_t>(0, now_unix_s - state.last_ingest_unix_s);
       status.metric_count = state.snapshot.metrics.size();
       status.full_frames = state.full_frames;
       status.delta_frames = state.delta_frames;
@@ -962,11 +979,12 @@ std::string FormatFleetHealth(
   }
   for (const AggregatorEngine::SourceStatus& source : health.sources) {
     AppendHealthF(&out,
-                  "  source %-16s epoch=%-6lld behind=%-4lld metrics=%-4zu "
-                  "frames=%lld+%lldd %s\n",
+                  "  source %-16s epoch=%-6lld behind=%-4lld age_s=%-4lld "
+                  "metrics=%-4zu frames=%lld+%lldd %s\n",
                   source.source.c_str(),
                   static_cast<long long>(source.epoch),
                   static_cast<long long>(source.epochs_behind),
+                  static_cast<long long>(source.last_applied_age_s),
                   source.metric_count,
                   static_cast<long long>(source.full_frames),
                   static_cast<long long>(source.delta_frames),
@@ -1067,13 +1085,15 @@ std::string FleetHealthToJson(
     AppendHealthEscaped(source.source, &out);
     AppendHealthF(&out,
                   "\", \"epoch\": %lld, \"stale\": %s, "
-                  "\"epochs_behind\": %lld, \"metric_count\": %zu, "
+                  "\"epochs_behind\": %lld, \"last_applied_age_s\": %lld, "
+                  "\"metric_count\": %zu, "
                   "\"full_frames\": %lld, \"delta_frames\": %lld, "
                   "\"connected\": %s, \"connects\": %lld, "
                   "\"last_seen_unix_s\": %lld}",
                   static_cast<long long>(source.epoch),
                   source.stale ? "true" : "false",
                   static_cast<long long>(source.epochs_behind),
+                  static_cast<long long>(source.last_applied_age_s),
                   source.metric_count,
                   static_cast<long long>(source.full_frames),
                   static_cast<long long>(source.delta_frames),

@@ -278,6 +278,9 @@ class AggregatorEngine {
     /// Fleet epochs elapsed since this source last reported (0 = reported
     /// at the current fleet epoch; stale once beyond staleness_epochs).
     int64_t epochs_behind = 0;
+    /// Freshness in seconds: wall time since this source's last applied
+    /// frame (full or delta), or -1 when none was ever applied.
+    int64_t last_applied_age_s = -1;
     size_t metric_count = 0;  ///< Metrics in the held snapshot.
     int64_t full_frames = 0;  ///< Full snapshots applied for this source.
     int64_t delta_frames = 0; ///< Delta frames applied for this source.
@@ -399,10 +402,13 @@ class AggregatorEngine {
   /// Appends one applied frame's raw bytes as a non-checkpoint record.
   void AppendWalFrame(const uint8_t* data, size_t size);
   /// Applies one delta frame against the source's held snapshot —
-  /// validate-then-swap, so a NAK or error leaves the held state
-  /// untouched. OK acks carry the protocol verdict; error Statuses are
-  /// reserved for malformed frame CONTENT (negative counts, grid-size
-  /// mismatches) that no resync would fix differently.
+  /// validate-then-patch: the whole delta is checked read-only against the
+  /// held state before any summary is patched in place, so a NAK or error
+  /// leaves the held state untouched and a steady-state apply costs the
+  /// new sub-windows, not a copy of the window. OK acks carry the
+  /// protocol verdict; error Statuses are reserved for malformed frame
+  /// CONTENT (negative counts, grid-size mismatches) that no resync would
+  /// fix differently.
   Result<IngestAck> ApplyDelta(WireDelta delta);
   /// The self-metrics engine's counter/timer hub, or null when
   /// introspection is off (stage timers on null are free).

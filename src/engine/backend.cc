@@ -46,6 +46,78 @@ bool SameBackendConfiguration(const BackendOptions& a,
   return false;
 }
 
+namespace {
+
+// The extent of an epoch-ascending run of sub-windows.
+template <typename SubWindows>
+WindowExtent SubWindowExtent(const SubWindows& subs) {
+  WindowExtent extent;
+  for (const core::SubWindowSummary& sub : subs) extent.population += sub.count;
+  if (!subs.empty()) {
+    extent.has_subwindows = true;
+    extent.first_epoch = subs.front().epoch;
+    extent.last_epoch = subs.back().epoch;
+  }
+  return extent;
+}
+
+// Copies the sub-windows of \p subs (epoch-ascending) newer than
+// \p after_epoch into \p out — resize + element-wise copy, so a recycled
+// summary's nested quantile/tail buffers keep their capacity across Ticks
+// — and returns the extent of all of \p subs.
+template <typename SubWindows>
+WindowExtent CopySubWindowsSince(const SubWindows& subs, int64_t after_epoch,
+                                 std::vector<core::SubWindowSummary>* out) {
+  size_t newer = 0;
+  while (newer < subs.size() &&
+         subs[subs.size() - 1 - newer].epoch > after_epoch) {
+    ++newer;
+  }
+  out->resize(newer);
+  auto from = subs.end() - static_cast<ptrdiff_t>(newer);
+  for (size_t i = 0; i < newer; ++i) (*out)[i] = *from++;
+  return SubWindowExtent(subs);
+}
+
+}  // namespace
+
+WindowExtent WindowExtent::Of(const BackendSummary& summary) {
+  if (summary.kind == BackendKind::kQlove) {
+    return SubWindowExtent(summary.subwindows);
+  }
+  WindowExtent extent;
+  extent.population = summary.count;
+  return extent;
+}
+
+void WindowExtent::Add(const WindowExtent& other) {
+  population += other.population;
+  if (!other.has_subwindows) return;
+  if (!has_subwindows) {
+    has_subwindows = true;
+    first_epoch = other.first_epoch;
+    last_epoch = other.last_epoch;
+    return;
+  }
+  first_epoch = std::min(first_epoch, other.first_epoch);
+  last_epoch = std::max(last_epoch, other.last_epoch);
+}
+
+WindowExtent CopySummarySince(const BackendSummary& whole, int64_t after_epoch,
+                              BackendSummary* out) {
+  out->ResetForKind(whole.kind);
+  out->semantics = whole.semantics;
+  out->count = whole.count;
+  out->inflight = whole.inflight;
+  out->burst_active = whole.burst_active;
+  out->rank_error = whole.rank_error;
+  if (whole.kind != BackendKind::kQlove) {
+    out->entries = whole.entries;
+    return WindowExtent::Of(whole);
+  }
+  return CopySubWindowsSince(whole.subwindows, after_epoch, &out->subwindows);
+}
+
 Status BackendOptions::Validate(const WindowSpec& shard_window,
                                 const std::vector<double>& phis) const {
   switch (kind) {
@@ -197,15 +269,17 @@ class QloveBackend final : public ShardBackend {
   void SetEpochBase(int64_t epoch) override { op_.SetBoundaryEpoch(epoch); }
 
   void SummaryInto(BackendSummary* out) const override {
+    SummarySinceInto(kWholeWindow, out);
+  }
+
+  WindowExtent SummarySinceInto(int64_t after_epoch,
+                                BackendSummary* out) const override {
     out->ResetForKind(BackendKind::kQlove);
-    const std::deque<core::SubWindowSummary>& live = op_.SubWindowSummaries();
-    // resize + element-wise copy (not assign) so a recycled summary's
-    // nested quantile/tail buffers keep their capacity across Ticks.
-    out->subwindows.resize(live.size());
-    size_t i = 0;
-    for (const core::SubWindowSummary& sub : live) out->subwindows[i++] = sub;
+    const WindowExtent extent = CopySubWindowsSince(
+        op_.SubWindowSummaries(), after_epoch, &out->subwindows);
     out->inflight = op_.InflightCount();
     out->burst_active = op_.BurstActiveInWindow();
+    return extent;
   }
 
   int64_t InflightCount() const override { return op_.InflightCount(); }

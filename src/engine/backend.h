@@ -22,6 +22,7 @@
 #define QLOVE_ENGINE_BACKEND_H_
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -136,6 +137,39 @@ struct BackendSummary {
   }
 };
 
+/// Epoch marker of a whole-window read: every live sub-window is newer.
+inline constexpr int64_t kWholeWindow = std::numeric_limits<int64_t>::min();
+
+/// \brief The whole-window facts a summary cut to its newer sub-windows
+/// no longer shows (ShardBackend::SummarySinceInto). An incremental export
+/// ships only the new sub-windows, yet still declares the window's first
+/// live epoch, remembers its newest one, and weighs rank errors by the
+/// whole population.
+struct WindowExtent {
+  /// kQlove: the window holds at least one sub-window; the two epochs
+  /// below are meaningful only when set.
+  bool has_subwindows = false;
+  int64_t first_epoch = 0;  ///< Oldest live sub-window epoch.
+  int64_t last_epoch = 0;   ///< Newest live sub-window epoch.
+  /// Window population: summed sub-window counts for kQlove (the
+  /// derivation the merge applies), `count` for the entry kinds. The
+  /// weight of the summary's rank_error when summaries pool.
+  int64_t population = 0;
+
+  /// The extent of a whole (uncut) \p summary.
+  static WindowExtent Of(const BackendSummary& summary);
+
+  /// Widens this extent by \p other, a disjoint part of the same window
+  /// (another shard, or a restore overlay).
+  void Add(const WindowExtent& other);
+};
+
+/// Copies \p whole into \p out (capacity reusing) with kQlove sub-windows
+/// cut to those with epoch > \p after_epoch; every other field is copied
+/// whole. Returns the extent of \p whole.
+WindowExtent CopySummarySince(const BackendSummary& whole, int64_t after_epoch,
+                              BackendSummary* out);
+
 /// \brief One shard's sketch: ingest, tick sub-windows, export a summary.
 ///
 /// Not thread-safe; the owning Shard serializes all calls.
@@ -191,6 +225,18 @@ class ShardBackend {
   /// repeated per-Tick exports into a recycled summary stop allocating
   /// once the shape stabilizes.
   virtual void SummaryInto(BackendSummary* out) const = 0;
+
+  /// SummaryInto cut for an incremental export: kQlove sub-windows with
+  /// epoch <= \p after_epoch are left out (kWholeWindow leaves out none),
+  /// so the read costs what it ships, not the window. Every other field
+  /// still covers the whole window, and the returned extent describes it.
+  /// Kinds without epoch-addressable state export whole (the default).
+  virtual WindowExtent SummarySinceInto(int64_t after_epoch,
+                                        BackendSummary* out) const {
+    (void)after_epoch;
+    SummaryInto(out);
+    return WindowExtent::Of(*out);
+  }
 
   /// Convenience wrapper over SummaryInto for callers without a reusable
   /// summary.

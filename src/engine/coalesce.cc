@@ -11,18 +11,6 @@ namespace engine {
 
 namespace {
 
-// Population a summary's rank_error is weighted by when pooling: entry
-// kinds precompute `count`; qlove derives it from the sub-windows (same
-// rule as the aggregator's SummaryPopulation).
-int64_t SummaryWeight(const BackendSummary& summary) {
-  if (summary.kind != BackendKind::kQlove) return summary.count;
-  int64_t total = 0;
-  for (const core::SubWindowSummary& sub : summary.subwindows) {
-    total += sub.count;
-  }
-  return total;
-}
-
 // Pools pairs of {value, multiplicity} lists into one list sorted
 // descending by value, combining equal values' multiplicities. Used for
 // both tail top-k lists and weighted entries (the latter re-sorted
@@ -148,16 +136,29 @@ void CoalesceEntries(const std::vector<BackendSummary>& shards,
 BackendSummary CoalesceShardSummaries(
     const std::vector<BackendSummary>& shards) {
   if (shards.size() == 1) return shards[0];
+  std::vector<WindowExtent> extents;
+  extents.reserve(shards.size());
+  for (const BackendSummary& shard : shards) {
+    extents.push_back(WindowExtent::Of(shard));
+  }
+  return CoalesceShardSummaries(shards, extents);
+}
+
+BackendSummary CoalesceShardSummaries(
+    const std::vector<BackendSummary>& shards,
+    const std::vector<WindowExtent>& extents) {
+  if (shards.size() == 1) return shards[0];
   BackendSummary out;
   out.ResetForKind(shards[0].kind);
   out.semantics = shards[0].semantics;
   int64_t weight_total = 0;
   double weighted_rank_error = 0.0;
-  for (const BackendSummary& shard : shards) {
+  for (size_t s = 0; s < shards.size(); ++s) {
+    const BackendSummary& shard = shards[s];
     out.count += shard.count;
     out.inflight += shard.inflight;
     out.burst_active = out.burst_active || shard.burst_active;
-    const int64_t weight = SummaryWeight(shard);
+    const int64_t weight = extents[s].population;
     weight_total += weight;
     weighted_rank_error += static_cast<double>(weight) * shard.rank_error;
   }

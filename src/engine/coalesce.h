@@ -43,6 +43,13 @@ namespace engine {
 /// always do). With a single shard the copy is returned unchanged.
 BackendSummary CoalesceShardSummaries(const std::vector<BackendSummary>& shards);
 
+/// \brief The same merge over summaries cut to their newer sub-windows
+/// (MetricState::ReadShards): \p extents[i] is the whole-window extent of
+/// \p shards[i], which weighs its rank_error. Sub-windows merge per epoch,
+/// so the cut summaries coalesce to the cut of the whole coalesced one.
+BackendSummary CoalesceShardSummaries(const std::vector<BackendSummary>& shards,
+                                      const std::vector<WindowExtent>& extents);
+
 }  // namespace engine
 }  // namespace qlove
 

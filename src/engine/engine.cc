@@ -116,6 +116,34 @@ std::optional<BackendOptions> DegradeOnce(const BackendOptions& options,
   return degraded;
 }
 
+/// One metric as an export ships it: the per-shard summaries (folded into
+/// one when coalescing) with qlove sub-windows newer than the read's epoch
+/// marker only, and the extent of the whole window across shards.
+struct MetricRead {
+  std::vector<BackendSummary> shards;
+  WindowExtent extent;
+};
+
+/// The one per-metric export read: a full frame or ExportSnapshot reads
+/// from the start of the window (kWholeWindow), a delta from the epoch the
+/// receiver already holds, so steady-state exports cost the new
+/// sub-windows, not the window.
+MetricRead ReadMetric(const MetricState& state, int64_t after_epoch,
+                      bool coalesce) {
+  MetricRead read;
+  std::vector<WindowExtent> extents;
+  state.ReadShards(after_epoch, &read.shards, &extents);
+  for (const WindowExtent& extent : extents) read.extent.Add(extent);
+  if (coalesce && read.shards.size() > 1) {
+    // Shard count is an agent-internal detail: fold the per-shard
+    // summaries into one so frame size stops scaling with it.
+    BackendSummary coalesced = CoalesceShardSummaries(read.shards, extents);
+    read.shards.clear();
+    read.shards.push_back(std::move(coalesced));
+  }
+  return read;
+}
+
 }  // namespace
 
 Status EngineOptions::Validate() const {
@@ -696,39 +724,44 @@ void TelemetryEngine::PublishStageSamples() {
 #endif
 }
 
-WireSnapshot TelemetryEngine::ExportSnapshot(
-    std::string source, const ExportOptions& export_options) const {
-  WireSnapshot snapshot;
-  snapshot.source = std::move(source);
-  snapshot.epoch = TickEpochs();
-  snapshot.sync_token = sync_token_;
+std::vector<std::shared_ptr<MetricState>> TelemetryEngine::ExportedStates(
+    bool include_self_metrics) const {
   std::vector<std::shared_ptr<MetricState>> states = registry_.List();
-  if (export_options.include_self_metrics) {
+  if (include_self_metrics) {
     for (auto& state : internal_registry_.List()) {
       states.push_back(std::move(state));
     }
   }
+  states.erase(std::remove_if(states.begin(), states.end(),
+                              [](const std::shared_ptr<MetricState>& state) {
+                                return state->TickEpochs() == 0;
+                              }),
+               states.end());
   // Canonical key order, like SnapshotAll: successive exports diff stably.
   std::sort(states.begin(), states.end(),
             [](const std::shared_ptr<MetricState>& a,
                const std::shared_ptr<MetricState>& b) {
               return a->key() < b->key();
             });
-  snapshot.metrics.reserve(states.size());
-  for (const auto& state : states) {
-    if (state->TickEpochs() == 0) continue;  // no window state yet
-    WireMetricSummary metric;
-    metric.key = state->key();
-    metric.options = state->options();
-    metric.shards = state->SnapshotShards();
-    if (export_options.coalesce_shards && metric.shards.size() > 1) {
-      // Shard count is an agent-internal detail: fold the per-shard
-      // summaries into one so frame size stops scaling with it.
-      BackendSummary coalesced = CoalesceShardSummaries(metric.shards);
-      metric.shards.clear();
-      metric.shards.push_back(std::move(coalesced));
-    }
-    snapshot.metrics.push_back(std::move(metric));
+  return states;
+}
+
+WireSnapshot TelemetryEngine::ExportSnapshot(
+    std::string source, const ExportOptions& export_options) const {
+  WireSnapshot snapshot;
+  snapshot.source = std::move(source);
+  snapshot.epoch = TickEpochs();
+  snapshot.sync_token = sync_token_;
+  const std::vector<std::shared_ptr<MetricState>> states =
+      ExportedStates(export_options.include_self_metrics);
+  snapshot.metrics.resize(states.size());
+  for (size_t i = 0; i < states.size(); ++i) {
+    WireMetricSummary& metric = snapshot.metrics[i];
+    metric.key = states[i]->key();
+    metric.options = states[i]->options();
+    metric.shards = ReadMetric(*states[i], kWholeWindow,
+                               export_options.coalesce_shards)
+                        .shards;
   }
 #if QLOVE_INTROSPECTION_ENABLED
   if (introspection_ != nullptr) introspection_->OnExport();
@@ -746,80 +779,105 @@ Status TelemetryEngine::ExportDeltaEncoded(
   if (out == nullptr) {
     return Status::InvalidArgument("null output buffer");
   }
-  ExportOptions coalesced = export_options;
-  coalesced.coalesce_shards = true;  // deltas address one summary per metric
 
   ScopedStageTimer timer(introspection_.get(), Stage::kWireEncode);
-  const WireSnapshot snapshot = ExportSnapshot(std::move(source), coalesced);
-  // A tracked metric absent from this snapshot vanished (evicted or
+  const int64_t epoch = TickEpochs();
+  const std::vector<std::shared_ptr<MetricState>> states =
+      ExportedStates(export_options.include_self_metrics);
+  // One merge scan of the cursor's tracked keys against the exported ones
+  // (both in canonical key order) finds each metric's sent marker — the
+  // newest sub-window epoch the receiver holds, or -1 when it was shipped
+  // whole or never — and whether a tracked metric vanished (evicted or
   // otherwise retired). A delta frame can only describe metrics it
-  // carries, so the receiver would keep serving the stale key forever;
-  // fall back to a full frame, which replaces the source's held state
-  // wholesale and retires the key on the receiver too. Both sides are in
-  // canonical key order, so one merge scan decides.
+  // carries, so the receiver would keep serving a vanished key forever;
+  // such an export falls back to a full frame, which replaces the
+  // source's held state wholesale and retires the key on the receiver too.
+  std::vector<int64_t> sent(states.size(), -1);
   bool tracked_metric_vanished = false;
   {
     auto tracked = cursor->sent_.cbegin();
-    auto present = snapshot.metrics.cbegin();
-    while (tracked != cursor->sent_.cend()) {
-      while (present != snapshot.metrics.cend() &&
-             present->key < tracked->first) {
-        ++present;
-      }
-      if (present == snapshot.metrics.cend() ||
-          tracked->first < present->key) {
+    for (size_t i = 0; i < states.size(); ++i) {
+      const MetricKey& key = states[i]->key();
+      for (; tracked != cursor->sent_.cend() && tracked->first < key;
+           ++tracked) {
         tracked_metric_vanished = true;
-        break;
       }
-      ++tracked;
-      ++present;
+      if (tracked != cursor->sent_.cend() && tracked->first == key) {
+        sent[i] = tracked->second;
+        ++tracked;
+      }
     }
+    if (tracked != cursor->sent_.cend()) tracked_metric_vanished = true;
   }
-  bool encoded_delta = false;
-  if (cursor->force_full_ || cursor->last_epoch_ < 0 ||
-      tracked_metric_vanished) {
+  const bool full = cursor->force_full_ || cursor->last_epoch_ < 0 ||
+                    tracked_metric_vanished;
+
+  // Per metric: the newest sub-window epoch this frame leaves the receiver
+  // holding (the next sent marker), or -1 when shipped whole (non-qlove,
+  // no sub-window state to diff). With no live sub-windows the export
+  // epoch is a safe high-water mark: future sub-windows are stamped past
+  // it.
+  std::vector<int64_t> newest(states.size(), -1);
+  auto note_newest = [&](size_t i, const MetricRead& read) {
+    if (read.shards[0].kind != BackendKind::kQlove) return;
+    newest[i] = read.extent.has_subwindows ? read.extent.last_epoch : epoch;
+  };
+  // Exports are always shard-coalesced on this path: deltas address one
+  // summary per metric.
+  if (full) {
+    WireSnapshot snapshot;
+    snapshot.source = std::move(source);
+    snapshot.epoch = epoch;
+    snapshot.sync_token = sync_token_;
+    snapshot.metrics.resize(states.size());
+    for (size_t i = 0; i < states.size(); ++i) {
+      MetricRead read = ReadMetric(*states[i], kWholeWindow, true);
+      note_newest(i, read);
+      WireMetricSummary& metric = snapshot.metrics[i];
+      metric.key = states[i]->key();
+      metric.options = states[i]->options();
+      metric.shards = std::move(read.shards);
+    }
     EncodeSnapshot(snapshot, out);
   } else {
     WireDelta delta;
-    delta.source = snapshot.source;
-    delta.epoch = snapshot.epoch;
+    delta.source = std::move(source);
+    delta.epoch = epoch;
     delta.base_epoch = cursor->last_epoch_;
-    delta.sync_token = snapshot.sync_token;
-    delta.metrics.reserve(snapshot.metrics.size());
-    for (const WireMetricSummary& metric : snapshot.metrics) {
-      WireMetricDelta md;
-      md.key = metric.key;
-      const auto sent = cursor->sent_.find(metric.key);
+    delta.sync_token = sync_token_;
+    delta.metrics.resize(states.size());
+    for (size_t i = 0; i < states.size(); ++i) {
+      // Only the sub-windows the receiver lacks are read; a metric not
+      // shipped incrementally before is read whole.
+      MetricRead read = ReadMetric(
+          *states[i], sent[i] >= 0 ? sent[i] : kWholeWindow, true);
+      note_newest(i, read);
+      WireMetricDelta& md = delta.metrics[i];
+      md.key = states[i]->key();
+      BackendSummary& summary = read.shards[0];
       // Incremental shipping needs sub-window-addressable state on both
       // ends: a coalesced qlove summary here, and a prior frame that
       // shipped this metric the same way (sent marker >= 0). Everything
       // else rides as a full replacement inside the delta.
-      if (sent != cursor->sent_.end() && sent->second >= 0 &&
-          metric.shards.size() == 1 &&
-          metric.shards[0].kind == BackendKind::kQlove) {
-        const BackendSummary& summary = metric.shards[0];
+      if (sent[i] >= 0 && summary.kind == BackendKind::kQlove) {
         md.mode = WireDeltaMode::kQloveDelta;
         // An empty window trims everything the receiver holds (held
-        // epochs never exceed the snapshot epoch).
-        md.first_live_epoch = summary.subwindows.empty()
-                                  ? snapshot.epoch + 1
-                                  : summary.subwindows.front().epoch;
+        // epochs never exceed the export epoch).
+        md.first_live_epoch = read.extent.has_subwindows
+                                  ? read.extent.first_epoch
+                                  : epoch + 1;
         md.count = summary.count;
         md.inflight = summary.inflight;
         md.burst_active = summary.burst_active;
         md.rank_error = summary.rank_error;
-        for (const core::SubWindowSummary& sub : summary.subwindows) {
-          if (sub.epoch > sent->second) md.new_subwindows.push_back(sub);
-        }
+        md.new_subwindows = std::move(summary.subwindows);
       } else {
         md.mode = WireDeltaMode::kFull;
-        md.options = metric.options;
-        md.shards = metric.shards;
+        md.options = states[i]->options();
+        md.shards = std::move(read.shards);
       }
-      delta.metrics.push_back(std::move(md));
     }
     EncodeDelta(delta, out);
-    encoded_delta = true;
   }
   // Advance optimistically: when the receiver's held state disagrees it
   // NAKs the frame and the caller calls RequestResync(). The tracking map
@@ -828,34 +886,26 @@ Status TelemetryEngine::ExportDeltaEncoded(
   // longer exported, so a long-lived cursor's footprint follows the live
   // metric count instead of growing one node per key ever retired.
   cursor->force_full_ = false;
-  cursor->last_epoch_ = snapshot.epoch;
+  cursor->last_epoch_ = epoch;
   auto tracked = cursor->sent_.begin();
-  for (const WireMetricSummary& metric : snapshot.metrics) {
-    int64_t newest = -1;  // -1: shipped whole, not delta-eligible
-    if (metric.shards.size() == 1 &&
-        metric.shards[0].kind == BackendKind::kQlove) {
-      const auto& subs = metric.shards[0].subwindows;
-      // With no live sub-windows the snapshot epoch is a safe high-water
-      // mark: future sub-windows are stamped past it.
-      newest = subs.empty() ? snapshot.epoch : subs.back().epoch;
-    }
-    while (tracked != cursor->sent_.end() && tracked->first < metric.key) {
+  for (size_t i = 0; i < states.size(); ++i) {
+    const MetricKey& key = states[i]->key();
+    while (tracked != cursor->sent_.end() && tracked->first < key) {
       tracked = cursor->sent_.erase(tracked);  // vanished: prune
     }
-    if (tracked != cursor->sent_.end() && tracked->first == metric.key) {
-      tracked->second = newest;
+    if (tracked != cursor->sent_.end() && tracked->first == key) {
+      tracked->second = newest[i];
       ++tracked;
     } else {
-      tracked = std::next(
-          cursor->sent_.emplace_hint(tracked, metric.key, newest));
+      tracked =
+          std::next(cursor->sent_.emplace_hint(tracked, key, newest[i]));
     }
   }
   cursor->sent_.erase(tracked, cursor->sent_.end());
   if (introspection_ != nullptr) {
+    introspection_->OnExport();
     introspection_->OnWireBytes(static_cast<int64_t>(out->size()));
-    if (encoded_delta) {
-      introspection_->OnDeltaExport(static_cast<int64_t>(out->size()));
-    }
+    if (!full) introspection_->OnDeltaExport(static_cast<int64_t>(out->size()));
   }
   return Status::OK();
 }

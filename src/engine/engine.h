@@ -418,6 +418,11 @@ class TelemetryEngine {
   /// Key lookup across both registries (reserved names resolve in the
   /// internal one).
   std::shared_ptr<MetricState> FindState(const MetricKey& key) const;
+  /// The metrics an export covers, in canonical key order: every user
+  /// metric (plus the `__qlove/` ones when \p include_self_metrics) that
+  /// has seen a Tick — pre-first-Tick metrics have no window state.
+  std::vector<std::shared_ptr<MetricState>> ExportedStates(
+      bool include_self_metrics) const;
   /// The uninstrumented query path; Query() wraps it with timing and the
   /// slow-query capture.
   Result<QueryResult> QueryImpl(const QuerySpec& spec) const;

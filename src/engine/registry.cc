@@ -90,7 +90,7 @@ int64_t MetricState::TotalAddedApprox() const {
 }
 
 void MetricState::CloseSubWindows() {
-  // Serialized against SnapshotShards so a concurrent query never observes
+  // Serialized against ReadShards so a concurrent query never observes
   // a torn epoch (some shards ticked, some not).
   std::lock_guard<std::mutex> lock(epoch_mu_);
   size_t bytes = 0;
@@ -158,30 +158,47 @@ void MetricState::CloseSubWindows() {
 
 namespace {
 
-// A shard view with no window content at all. Only consulted while a
-// restore overlay is live: dropping such views keeps a freshly recovered
-// metric's export a single summary — bit-identical to the pre-crash
-// export for every backend kind — instead of a merge of the overlay with
-// empty shards (entry-kind merges combine equal values, changing bytes).
-bool ViewIsEmpty(const BackendSummary& view) {
+// A shard view with no window content at all (\p extent: its whole
+// window). Only consulted while a restore overlay is live: dropping such
+// views keeps a freshly recovered metric's export a single summary —
+// bit-identical to the pre-crash export for every backend kind — instead
+// of a merge of the overlay with empty shards (entry-kind merges combine
+// equal values, changing bytes).
+bool ViewIsEmpty(const BackendSummary& view, const WindowExtent& extent) {
   return view.count == 0 && view.inflight == 0 && !view.burst_active &&
-         view.subwindows.empty() && view.entries.empty();
+         !extent.has_subwindows && view.entries.empty();
 }
 
 }  // namespace
 
-std::vector<BackendSummary> MetricState::SnapshotShards() const {
+void MetricState::ReadShards(int64_t after_epoch,
+                             std::vector<BackendSummary>* views,
+                             std::vector<WindowExtent>* extents) const {
   std::lock_guard<std::mutex> lock(epoch_mu_);
-  std::vector<BackendSummary> views(shards_.size());
+  ReadShardsLocked(after_epoch, views, extents);
+}
+
+void MetricState::ReadShardsLocked(int64_t after_epoch,
+                                   std::vector<BackendSummary>* views,
+                                   std::vector<WindowExtent>* extents) const {
+  views->resize(shards_.size());
+  extents->resize(shards_.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->SnapshotInto(&views[s]);
+    (*extents)[s] = shards_[s]->SnapshotInto(&(*views)[s], after_epoch);
   }
-  if (overlay_active_) {
-    views.erase(std::remove_if(views.begin(), views.end(), ViewIsEmpty),
-                views.end());
-    views.push_back(overlay_);
+  if (!overlay_active_) return;
+  size_t kept = 0;
+  for (size_t s = 0; s < views->size(); ++s) {
+    if (ViewIsEmpty((*views)[s], (*extents)[s])) continue;
+    if (kept != s) {
+      (*views)[kept] = std::move((*views)[s]);
+      (*extents)[kept] = (*extents)[s];
+    }
+    ++kept;
   }
-  return views;
+  views->resize(kept + 1);
+  extents->resize(kept + 1);
+  extents->back() = CopySummarySince(overlay_, after_epoch, &views->back());
 }
 
 int64_t MetricState::LiveInflightCount() const {
@@ -200,15 +217,7 @@ std::shared_ptr<const ResolvedWindow> MetricState::Resolved() const {
     // capacity, so a steady-state rebuild performs no allocations.
     std::vector<BackendSummary> views = std::move(spare_views_);
     spare_views_.clear();
-    views.resize(shards_.size());
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s]->SnapshotInto(&views[s]);
-    }
-    if (overlay_active_) {
-      views.erase(std::remove_if(views.begin(), views.end(), ViewIsEmpty),
-                  views.end());
-      views.push_back(overlay_);
-    }
+    ReadShardsLocked(kWholeWindow, &views, &resolve_extents_);
     resolved_ = std::make_shared<const ResolvedWindow>(std::move(views),
                                                        options_);
   }

@@ -79,21 +79,27 @@ class MetricState {
   int64_t TotalAddedApprox() const;
 
   /// Finalizes the in-flight sub-window on every shard. Serialized against
-  /// SnapshotShards (epoch lock), so queries never see half a Tick. Also
+  /// ReadShards (epoch lock), so queries never see half a Tick. Also
   /// refreshes ApproxMemoryBytes from each shard's observed space and
   /// advances/resets the IdleWindows counter from TotalAddedApprox.
   void CloseSubWindows();
 
-  /// Collects every shard's mergeable summary; all summaries come from the
-  /// same tick epoch (ingest proceeds concurrently, boundaries do not).
-  std::vector<BackendSummary> SnapshotShards() const;
+  /// The export read: every shard's mergeable summary plus a live restore
+  /// overlay, all from the same tick epoch (ingest proceeds concurrently,
+  /// boundaries do not). Qlove sub-windows are cut to those with epoch >
+  /// \p after_epoch (kWholeWindow: the whole window), so an incremental
+  /// export reads what it ships, not the window. Replaces \p views and
+  /// \p extents; extents[i] is the whole-window extent of views[i].
+  void ReadShards(int64_t after_epoch, std::vector<BackendSummary>* views,
+                  std::vector<WindowExtent>* extents) const;
 
-  /// The cached resolved window of the current Tick epoch: SnapshotShards
-  /// taken once, shared by every query until CloseSubWindows invalidates
-  /// it. Backend window state only changes at a Tick, so between-Tick
-  /// queries over the same resolved state are exact, not stale — this is
-  /// what keeps Query throughput flat as shards grow (previously every
-  /// Query re-copied S backend summaries). Callers keep the returned
+  /// The cached resolved window of the current Tick epoch: a whole-window
+  /// ReadShards taken once, shared by every query until CloseSubWindows
+  /// invalidates it. Backend window state only changes at a Tick, so
+  /// between-Tick queries over the same resolved state are exact, not
+  /// stale — this is what keeps Query throughput flat as shards grow
+  /// (previously every Query re-copied S backend summaries). Callers keep
+  /// the returned
   /// shared_ptr alive for the duration of an evaluation; a concurrent
   /// Tick builds a fresh cache without touching theirs.
   std::shared_ptr<const ResolvedWindow> Resolved() const;
@@ -181,11 +187,17 @@ class MetricState {
   /// Current epoch's resolved window; guarded by epoch_mu_, reset by
   /// CloseSubWindows, built lazily by Resolved().
   mutable std::shared_ptr<const ResolvedWindow> resolved_;
+  /// ReadShards with epoch_mu_ held.
+  void ReadShardsLocked(int64_t after_epoch, std::vector<BackendSummary>* views,
+                        std::vector<WindowExtent>* extents) const;
+
   /// Per-shard summary buffers reclaimed from the previous epoch's
   /// resolved window (when this state was its sole owner at the Tick):
   /// the next Resolved() re-fills them in place via Shard::SnapshotInto,
   /// so steady-state Ticks rebuild the query cache without allocating.
   mutable std::vector<BackendSummary> spare_views_;
+  /// Extent scratch of the Resolved() rebuild; guarded by epoch_mu_.
+  mutable std::vector<WindowExtent> resolve_extents_;
 };
 
 /// \brief Thread-safe MetricKey -> MetricState map with lock-free reads.

@@ -172,13 +172,14 @@ int64_t Shard::CloseSubWindow() {
   return backend_->ObservedSpaceVariables();
 }
 
-void Shard::SnapshotInto(BackendSummary* out) const {
+WindowExtent Shard::SnapshotInto(BackendSummary* out,
+                                 int64_t after_epoch) const {
   std::lock_guard<std::mutex> lock(mu_);
   // Everything published before this call becomes part of the export's
   // in-flight accounting, matching the pre-ring semantics where a flush
   // reached the backend immediately.
   DrainLocked();
-  backend_->SummaryInto(out);
+  return backend_->SummarySinceInto(after_epoch, out);
 }
 
 int64_t Shard::TotalAdded() const {

@@ -176,8 +176,11 @@ class Shard {
 
   /// Exports the backend's mergeable summary into \p out, reusing its
   /// buffers (the allocation-free snapshot path); drains the ring first so
-  /// everything published before the call is covered. Thread-safe.
-  void SnapshotInto(BackendSummary* out) const;
+  /// everything published before the call is covered. \p after_epoch cuts
+  /// qlove sub-windows to the newer ones (ShardBackend::SummarySinceInto);
+  /// the returned extent covers the whole window. Thread-safe.
+  WindowExtent SnapshotInto(BackendSummary* out,
+                            int64_t after_epoch = kWholeWindow) const;
 
   /// Convenience wrapper over SnapshotInto. Thread-safe.
   BackendSummary Snapshot() const {

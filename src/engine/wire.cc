@@ -93,9 +93,17 @@ class Writer {
 // True when v reconstructs bit-exactly as mantissa * 10^exponent with the
 // exponent in table range and the mantissa zigzag-encodable into a tagged
 // header (top 2 bits free). Scans exponents high-to-low so the first match
-// has the smallest mantissa — both deterministic and cheapest.
+// has the smallest mantissa — both deterministic and cheapest. The scan
+// starts two decades above |v|'s binary magnitude: every higher exponent
+// rounds the mantissa to 0, which reconstructs no non-zero v, so skipping
+// them changes no result.
 bool LogLinearDecompose(double v, int64_t* mantissa, int* exponent) {
-  for (int e = kExpMax; e >= kExpMin; --e) {
+  if (v == 0.0) return false;  // 0 is tag 0; -0.0 has no mantissa form
+  // |v| < 2^(b+1), so log10|v| < (b+1) * 0.30103; truncation toward zero
+  // only raises a negative bound.
+  const int b = std::ilogb(v);
+  const int top = std::min(kExpMax, (b + 1) * 30103 / 100000 + 2);
+  for (int e = top; e >= kExpMin; --e) {
     const double scaled = v / kPow10[e - kExpMin];
     if (!(scaled > -9.2e18 && scaled < 9.2e18)) continue;  // llround UB guard
     const int64_t m = std::llround(scaled);
@@ -131,7 +139,10 @@ void EncodeValue(double v, Writer* w) {
       integer = i;
     }
   }
-  if (std::isfinite(v) && LogLinearDecompose(v, &mantissa, &exponent)) {
+  // A log-linear form takes at least 2 bytes (header + exponent byte), so
+  // it can only win against a wider integer form or the raw escape.
+  if (best_size > 2 && std::isfinite(v) &&
+      LogLinearDecompose(v, &mantissa, &exponent)) {
     const size_t size = VarUSize((ZigzagEncode(mantissa) << 2) | 1) + 1;
     if (size < best_size) {
       best_tag = 1;

@@ -467,6 +467,41 @@ TEST(AggregatorFleetHealthTest, CountersStalenessAndRenderers) {
   EXPECT_NE(json.find("\"host-b\""), std::string::npos);
 }
 
+TEST(AggregatorFleetHealthTest, FreshnessInSecondsSitsNextToEpochsBehind) {
+  TelemetryEngine agent;
+  ASSERT_TRUE(agent.RecordBatch(UserKey(), {1.0, 2.0, 3.0}).ok());
+  agent.Tick();
+  AggregatorEngine aggregator;
+  // A source that connected but never delivered has no applied frame.
+  aggregator.NoteSourceConnected("host-quiet");
+  ExportCursor cursor;
+  std::vector<uint8_t> encoded;
+  ASSERT_TRUE(agent.ExportDeltaEncoded("host-a", &cursor, &encoded).ok());
+  ASSERT_TRUE(aggregator.IngestFrame(encoded).ok());
+
+  const std::vector<AggregatorEngine::SourceStatus> sources =
+      aggregator.Sources();
+  ASSERT_EQ(sources.size(), 2u);
+  EXPECT_EQ(sources[0].source, "host-a");
+  EXPECT_GE(sources[0].last_applied_age_s, 0);
+  // Ingest just happened; allow for a slow (sanitized) run.
+  EXPECT_LE(sources[0].last_applied_age_s, 60);
+  EXPECT_EQ(sources[1].source, "host-quiet");
+  EXPECT_EQ(sources[1].last_applied_age_s, -1);
+
+  const AggregatorEngine::FleetHealthSnapshot health =
+      aggregator.FleetHealth();
+  ASSERT_EQ(health.sources.size(), 2u);
+  EXPECT_GE(health.sources[0].last_applied_age_s, 0);
+  const std::string text = FormatFleetHealth(health);
+  EXPECT_NE(text.find("age_s="), std::string::npos);
+  const std::string json = FleetHealthToJson(health);
+  EXPECT_NE(json.find("\"last_applied_age_s\": " +
+                      std::to_string(health.sources[0].last_applied_age_s)),
+            std::string::npos);
+  EXPECT_NE(json.find("\"last_applied_age_s\": -1"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace engine
 }  // namespace qlove

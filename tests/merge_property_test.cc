@@ -19,16 +19,20 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
+#include <unistd.h>
 
 #include "common/rng.h"
 #include "engine/aggregator.h"
 #include "engine/engine.h"
+#include "engine/wal.h"
 #include "engine/wire.h"
 #include "rank_error.h"
 #include "workload/generators.h"
@@ -875,6 +879,361 @@ TEST(DeltaSyncPropertyTest, EvictedMetricForcesFullFrameAndPrunesCursor) {
   ASSERT_TRUE(ship());
   EXPECT_EQ(cursor.tracked_metrics(), 1u);
   EXPECT_GT(aggregator.FleetHealth().delta_ingests, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Per-metric export reads ship the bytes of a whole-snapshot cut
+// ---------------------------------------------------------------------------
+
+/// A mirror of ExportCursor for the reference export below.
+struct ReferenceCursor {
+  bool force_full = true;
+  int64_t last_epoch = -1;
+  std::map<MetricKey, int64_t> sent;
+};
+
+/// Forms a frame the way a delta is defined: export the whole coalesced
+/// snapshot, then cut each metric shipped incrementally before at its sent
+/// marker (the newest sub-window epoch the receiver holds) and encode.
+/// ExportDeltaEncoded reads only the new sub-windows instead, and must
+/// produce these bytes exactly.
+std::vector<uint8_t> ReferenceExport(const TelemetryEngine& engine,
+                                     const std::string& source,
+                                     ReferenceCursor* cursor) {
+  const WireSnapshot snapshot = engine.ExportSnapshot(source);
+  bool vanished = false;
+  for (const auto& [key, marker] : cursor->sent) {
+    vanished |= std::none_of(
+        snapshot.metrics.begin(), snapshot.metrics.end(),
+        [&](const WireMetricSummary& metric) { return metric.key == key; });
+  }
+  std::vector<uint8_t> out;
+  if (cursor->force_full || cursor->last_epoch < 0 || vanished) {
+    out = EncodeSnapshot(snapshot);
+  } else {
+    WireDelta delta;
+    delta.source = snapshot.source;
+    delta.epoch = snapshot.epoch;
+    delta.base_epoch = cursor->last_epoch;
+    delta.sync_token = snapshot.sync_token;
+    for (const WireMetricSummary& metric : snapshot.metrics) {
+      WireMetricDelta md;
+      md.key = metric.key;
+      const auto sent = cursor->sent.find(metric.key);
+      if (sent != cursor->sent.end() && sent->second >= 0 &&
+          metric.shards.size() == 1 &&
+          metric.shards[0].kind == BackendKind::kQlove) {
+        const BackendSummary& summary = metric.shards[0];
+        md.mode = WireDeltaMode::kQloveDelta;
+        md.first_live_epoch = summary.subwindows.empty()
+                                  ? snapshot.epoch + 1
+                                  : summary.subwindows.front().epoch;
+        md.count = summary.count;
+        md.inflight = summary.inflight;
+        md.burst_active = summary.burst_active;
+        md.rank_error = summary.rank_error;
+        for (const core::SubWindowSummary& sub : summary.subwindows) {
+          if (sub.epoch > sent->second) md.new_subwindows.push_back(sub);
+        }
+      } else {
+        md.mode = WireDeltaMode::kFull;
+        md.options = metric.options;
+        md.shards = metric.shards;
+      }
+      delta.metrics.push_back(std::move(md));
+    }
+    out = EncodeDelta(delta);
+  }
+  cursor->force_full = false;
+  cursor->last_epoch = snapshot.epoch;
+  cursor->sent.clear();
+  for (const WireMetricSummary& metric : snapshot.metrics) {
+    int64_t newest = -1;
+    if (metric.shards.size() == 1 &&
+        metric.shards[0].kind == BackendKind::kQlove) {
+      const auto& subs = metric.shards[0].subwindows;
+      newest = subs.empty() ? snapshot.epoch : subs.back().epoch;
+    }
+    cursor->sent.emplace(metric.key, newest);
+  }
+  return out;
+}
+
+/// Drives one agent engine through ExportDeltaEncoded and the reference
+/// export side by side, checks the two frames byte for byte, and applies
+/// each one downstream (the receiver must accept every frame).
+class ExportPair {
+ public:
+  explicit ExportPair(std::string source) : source_(std::move(source)) {}
+
+  void RequestResync() {
+    cursor_.RequestResync();
+    reference_.force_full = true;
+  }
+
+  /// Returns whether the frame was a delta.
+  bool Export(const TelemetryEngine& engine, const std::string& context) {
+    const std::vector<uint8_t> expected =
+        ReferenceExport(engine, source_, &reference_);
+    std::vector<uint8_t> frame;
+    EXPECT_TRUE(engine.ExportDeltaEncoded(source_, &cursor_, &frame).ok());
+    EXPECT_EQ(frame, expected) << context;
+    EXPECT_EQ(cursor_.tracked_metrics(), reference_.sent.size()) << context;
+    auto ack = aggregator_.IngestFrame(frame);
+    EXPECT_TRUE(ack.ok() && ack.ValueOrDie().applied) << context;
+    auto decoded = DecodeFrame(frame);
+    EXPECT_TRUE(decoded.ok()) << context;
+    return decoded.ok() && decoded.ValueOrDie().is_delta;
+  }
+
+  const ExportCursor& cursor() const { return cursor_; }
+  const AggregatorEngine& aggregator() const { return aggregator_; }
+
+ private:
+  std::string source_;
+  ExportCursor cursor_;
+  ReferenceCursor reference_;
+  AggregatorEngine aggregator_;
+};
+
+TEST(DeltaSyncPropertyTest, PerMetricExportReadsMatchTheWholeSnapshotCut) {
+  const std::vector<std::pair<BackendKind, MetricKey>> riders = {
+      {BackendKind::kGk, MetricKey("rtt_us", {{"rider", "gk"}})},
+      {BackendKind::kCmqs, MetricKey("rtt_us", {{"rider", "cmqs"}})},
+      {BackendKind::kExact, MetricKey("rtt_us", {{"rider", "exact"}})}};
+  for (int shards : {1, 4}) {
+    for (int trial = 0; trial < kTrials; ++trial) {
+      const uint64_t seed = 7100 + 10 * static_cast<uint64_t>(shards) +
+                            static_cast<uint64_t>(trial);
+      EngineOptions options = MakeOptions(BackendKind::kQlove);
+      options.num_shards = shards;
+      options.idle_eviction_windows = 3;
+      TelemetryEngine engine(options);
+      Rng rng(seed);
+      std::vector<MetricKey> steady;
+      for (int k = 0; k < 4; ++k) {
+        steady.push_back(MetricKey("rtt_us", {{"k", std::to_string(k)}}));
+      }
+      const MetricKey churn("rtt_us", {{"k", "churn"}});
+      const MetricKey late("rtt_us", {{"k", "late"}});
+      for (const auto& [kind, key] : riders) {
+        BackendOptions backend = options.default_backend;
+        backend.kind = kind;
+        ASSERT_TRUE(engine.RegisterMetric(key, backend).ok());
+      }
+      workload::NetMonGenerator gen(seed);
+      ExportPair pair("agent-" + std::to_string(seed));
+      int deltas = 0;
+      size_t most_tracked = 0;
+      bool pruned = false;
+      for (int tick = 0; tick < 30; ++tick) {
+        std::vector<MetricKey> recorded = steady;
+        // `churn` goes idle long enough to be evicted, then returns;
+        // `late` registers mid-stream.
+        if (tick < 6 || tick >= 20) recorded.push_back(churn);
+        if (tick >= 11) recorded.push_back(late);
+        for (const auto& rider : riders) recorded.push_back(rider.second);
+        for (const MetricKey& key : recorded) {
+          // Uneven per-key load, sometimes none at all.
+          const int64_t n = static_cast<int64_t>(rng.Next64() % 3) *
+                            kPerShardPeriod * shards / 2;
+          if (n == 0) continue;
+          ASSERT_TRUE(
+              engine.RecordBatch(key, workload::Materialize(&gen, n)).ok());
+        }
+        engine.Tick();
+        if (rng.Next64() % 10 == 0) pair.RequestResync();
+        const std::string context = "seed=" + std::to_string(seed) +
+                                    " shards=" + std::to_string(shards) +
+                                    " tick=" + std::to_string(tick);
+        deltas += pair.Export(engine, context) ? 1 : 0;
+        pruned |= pair.cursor().tracked_metrics() < most_tracked;
+        most_tracked = std::max(most_tracked, pair.cursor().tracked_metrics());
+      }
+      EXPECT_GT(deltas, 10) << "seed=" << seed;
+      EXPECT_TRUE(pruned) << "seed=" << seed << ": no eviction was exported";
+    }
+  }
+}
+
+TEST(DeltaSyncPropertyTest, RestoredOverlayExportsMatchTheWholeSnapshotCut) {
+  char tmpl[] = "/tmp/qlove_overlay_XXXXXX";
+  const char* made = mkdtemp(tmpl);
+  ASSERT_NE(made, nullptr);
+  const std::string dir = made;
+  for (int shards : {1, 4}) {
+    EngineOptions options = MakeOptions(BackendKind::kQlove);
+    options.num_shards = shards;
+    const std::vector<MetricKey> keys = {MetricKey("rtt_us", {{"k", "a"}}),
+                                         MetricKey("rtt_us", {{"k", "b"}})};
+    const int64_t per_tick = kPerShardPeriod * shards;
+    workload::NetMonGenerator gen(4400 + static_cast<uint64_t>(shards));
+    int64_t crashed_epoch = 0;
+    {
+      TelemetryEngine crashed(options);
+      WalOptions wal_options;
+      wal_options.fsync = WalFsyncPolicy::kOs;
+      ASSERT_TRUE(crashed.EnableWal(dir, wal_options).ok());
+      for (int tick = 0; tick < 6; ++tick) {
+        for (const MetricKey& key : keys) {
+          ASSERT_TRUE(crashed
+                          .RecordBatch(key, workload::Materialize(
+                                                &gen, per_tick))
+                          .ok());
+        }
+        crashed.Tick();
+      }
+      crashed_epoch = crashed.TickEpochs();
+    }
+    TelemetryEngine engine(options);
+    auto recovered = engine.RecoverFromWal(dir);
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    ASSERT_EQ(recovered.ValueOrDie().metrics, 2);
+    ExportPair pair("restored-" + std::to_string(shards));
+    // The window holds NumSubWindows() = 4 sub-windows: the restored
+    // overlay serves for the first ticks, alongside the live shards,
+    // and then ages out.
+    for (int tick = 0; tick < 8; ++tick) {
+      const std::string context = "shards=" + std::to_string(shards) +
+                                  " tick=" + std::to_string(tick);
+      pair.Export(engine, context);
+      if (tick == 0) {
+        // The overlay is live: the receiver holds the restored sub-windows.
+        auto held = pair.aggregator().SourceSnapshot(
+            "restored-" + std::to_string(shards));
+        ASSERT_TRUE(held.ok());
+        ASSERT_FALSE(held.ValueOrDie().metrics.empty());
+        const auto& subs = held.ValueOrDie().metrics[0].shards[0].subwindows;
+        ASSERT_FALSE(subs.empty());
+        EXPECT_LE(subs.back().epoch, crashed_epoch);
+      }
+      for (const MetricKey& key : keys) {
+        ASSERT_TRUE(
+            engine.RecordBatch(key, workload::Materialize(&gen, per_tick / 2))
+                .ok());
+      }
+      engine.Tick();
+    }
+    auto segments = ListWalSegments(dir);
+    ASSERT_TRUE(segments.ok());
+    for (const std::string& file : segments.ValueOrDie()) {
+      ::unlink(file.c_str());
+    }
+  }
+  ::rmdir(dir.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// In-place delta apply: a NAK leaves the held source untouched
+// ---------------------------------------------------------------------------
+
+enum class NakCause { kOverlappingSubWindow, kUnknownKey, kUncoalescedHeld };
+
+/// Holds one agent's full frame in an aggregator, forms the next delta
+/// (every metric a kQloveDelta), and breaks that delta's LAST metric in the
+/// way \p cause names — so an apply that patched as it validated would
+/// already have changed every other held metric.
+void CheckNakLeavesHeldSourceUntouched(NakCause cause) {
+  const std::string source = "agent-nak";
+  TelemetryEngine engine(MakeOptions(BackendKind::kQlove));
+  const std::vector<MetricKey> keys = {MetricKey("rtt_us", {{"k", "a"}}),
+                                       MetricKey("rtt_us", {{"k", "b"}}),
+                                       MetricKey("rtt_us", {{"k", "c"}})};
+  workload::NetMonGenerator gen(static_cast<uint64_t>(cause) + 31);
+  auto tick = [&] {
+    for (const MetricKey& key : keys) {
+      ASSERT_TRUE(
+          engine.RecordBatch(key, workload::Materialize(&gen, kPerTick)).ok());
+    }
+    engine.Tick();
+  };
+  for (int i = 0; i < 3; ++i) tick();
+
+  ExportCursor cursor;
+  std::vector<uint8_t> frame;
+  ASSERT_TRUE(engine.ExportDeltaEncoded(source, &cursor, &frame).ok());
+  auto full = DecodeFrame(frame);
+  ASSERT_TRUE(full.ok());
+  ASSERT_FALSE(full.ValueOrDie().is_delta);
+  WireSnapshot held = full.ValueOrDie().snapshot;
+  if (cause == NakCause::kUncoalescedHeld) {
+    // Same epoch and token, but the last metric held per shard.
+    ExportOptions per_shard;
+    per_shard.coalesce_shards = false;
+    const WireSnapshot uncoalesced = engine.ExportSnapshot(source, per_shard);
+    ASSERT_EQ(uncoalesced.epoch, held.epoch);
+    ASSERT_GT(uncoalesced.metrics.back().shards.size(), 1u);
+    held.metrics.back().shards = uncoalesced.metrics.back().shards;
+  }
+  AggregatorEngine aggregator;
+  ASSERT_TRUE(aggregator.IngestFrame(EncodeSnapshot(held)).ok());
+
+  tick();
+  ASSERT_TRUE(engine.ExportDeltaEncoded(source, &cursor, &frame).ok());
+  auto decoded = DecodeFrame(frame);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(decoded.ValueOrDie().is_delta);
+  const WireDelta valid = decoded.ValueOrDie().delta;
+  ASSERT_EQ(valid.metrics.size(), keys.size());
+  for (const WireMetricDelta& metric : valid.metrics) {
+    ASSERT_EQ(metric.mode, WireDeltaMode::kQloveDelta);
+    ASSERT_FALSE(metric.new_subwindows.empty());
+  }
+
+  WireDelta broken = valid;
+  switch (cause) {
+    case NakCause::kOverlappingSubWindow:
+      // Re-ship an epoch the receiver already holds.
+      broken.metrics.back().new_subwindows.front().epoch =
+          held.metrics.back().shards[0].subwindows.back().epoch;
+      break;
+    case NakCause::kUnknownKey:
+      broken.metrics.back().key = MetricKey("zz_unknown");
+      break;
+    case NakCause::kUncoalescedHeld:
+      break;  // the valid delta itself cannot patch a per-shard summary
+  }
+  auto before = aggregator.SourceSnapshot(source);
+  ASSERT_TRUE(before.ok());
+  auto nak = aggregator.IngestFrame(EncodeDelta(broken));
+  ASSERT_TRUE(nak.ok()) << nak.status().ToString();
+  EXPECT_TRUE(nak.ValueOrDie().resync_required);
+  EXPECT_FALSE(nak.ValueOrDie().applied);
+  auto after = aggregator.SourceSnapshot(source);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(EncodeSnapshot(after.ValueOrDie()),
+            EncodeSnapshot(before.ValueOrDie()));
+
+  // The next valid delta against the same base still applies. Against a
+  // per-shard held summary, the last metric has to ride whole.
+  WireDelta next = valid;
+  const WireSnapshot now = engine.ExportSnapshot(source);
+  if (cause == NakCause::kUncoalescedHeld) {
+    WireMetricDelta& last = next.metrics.back();
+    last.mode = WireDeltaMode::kFull;
+    last.options = now.metrics.back().options;
+    last.shards = now.metrics.back().shards;
+    last.new_subwindows.clear();
+  }
+  auto applied = aggregator.IngestFrame(EncodeDelta(next));
+  ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+  EXPECT_TRUE(applied.ValueOrDie().applied);
+  // Patched in place, the held source is exactly the agent's window.
+  auto patched = aggregator.SourceSnapshot(source);
+  ASSERT_TRUE(patched.ok());
+  EXPECT_EQ(EncodeSnapshot(patched.ValueOrDie()), EncodeSnapshot(now));
+}
+
+TEST(AggregatorDeltaApplyTest, OverlappingSubWindowNakLeavesHeldSource) {
+  CheckNakLeavesHeldSourceUntouched(NakCause::kOverlappingSubWindow);
+}
+
+TEST(AggregatorDeltaApplyTest, UnknownKeyNakLeavesHeldSource) {
+  CheckNakLeavesHeldSourceUntouched(NakCause::kUnknownKey);
+}
+
+TEST(AggregatorDeltaApplyTest, UncoalescedHeldSummaryNakLeavesHeldSource) {
+  CheckNakLeavesHeldSourceUntouched(NakCause::kUncoalescedHeld);
 }
 
 }  // namespace

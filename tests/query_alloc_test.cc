@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/aggregator.h"
 #include "engine/engine.h"
 #include "engine/query.h"
 #include "workload/generators.h"
@@ -278,6 +279,62 @@ TEST(QueryAllocTest2, TickRebuildRecyclesSummaryBuffers) {
   // slack absorb deque block boundaries drifting across the rounds.
   EXPECT_LE(std::abs(first - second), 8)
       << "first=" << first << " second=" << second;
+}
+
+/// Average allocations of one steady-state ExportDeltaEncoded +
+/// IngestFrame round for one qlove metric whose window holds
+/// \p subwindows sub-windows: the delta ships one new sub-window whatever
+/// the window length.
+int64_t DeltaRoundAllocations(int64_t subwindows) {
+  constexpr int64_t kPeriod = 512;
+  EngineOptions options;
+  options.num_shards = 1;
+  options.shard_window = WindowSpec(kPeriod * subwindows, kPeriod);
+  // Timing sketches allocate by sample value; count the user path alone.
+  options.introspection = false;
+  TelemetryEngine engine(options);
+  AggregatorOptions aggregator_options;
+  aggregator_options.introspection = false;
+  AggregatorEngine aggregator(aggregator_options);
+  const MetricKey key("rtt_us");
+  workload::NetMonGenerator gen(5);
+  const std::vector<double> batch = workload::Materialize(&gen, kPeriod);
+  ExportCursor cursor;
+  std::vector<uint8_t> frame;
+  bool all_applied = true;
+  auto round = [&] {
+    all_applied &= engine.ExportDeltaEncoded("agent", &cursor, &frame).ok();
+    auto ack = aggregator.IngestFrame(frame);
+    all_applied &= ack.ok() && ack.ValueOrDie().applied &&
+                   !ack.ValueOrDie().resync_required;
+  };
+  auto tick = [&] {
+    all_applied &= engine.RecordBatch(key, batch).ok();
+    engine.Tick();
+  };
+  // Fill the window and let every buffer reach its steady-state shape.
+  for (int64_t i = 0; i < subwindows + 4; ++i) {
+    tick();
+    round();
+  }
+  constexpr int kRounds = 8;
+  int64_t total = 0;
+  for (int i = 0; i < kRounds; ++i) {
+    tick();
+    total += CountNews(round);
+  }
+  EXPECT_TRUE(all_applied);
+  return total / kRounds;
+}
+
+TEST(QueryAllocTest2, DeltaExportAndApplyAllocationsDoNotGrowWithTheWindow) {
+  const int64_t short_window = DeltaRoundAllocations(2);
+  const int64_t long_window = DeltaRoundAllocations(16);
+  // Copying the window on either end costs several allocations per held
+  // sub-window (quantile grid, tail lists), so O(window) work would add
+  // ~100 allocations here; the slack only absorbs allocator noise.
+  EXPECT_LE(long_window, short_window + 2)
+      << "W=2: " << short_window << " W=16: " << long_window;
 }
 
 }  // namespace
